@@ -7,8 +7,7 @@ Endpoints implement ``receive_frame(frame)`` (see :class:`NetDevice`).
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, Optional, Protocol, Sequence
+from typing import Optional, Protocol
 
 from repro.net.packet import Frame
 from repro.sim.kernel import Simulator
@@ -25,104 +24,42 @@ class NetDevice(Protocol):
 
 
 class _Direction:
-    """One direction of a link: a serializing FIFO plus propagation delay."""
+    """One direction of a link: an analytic serializing FIFO.
+
+    The wire's only state is ``_tail_ns``, the instant the last booked
+    frame finishes serializing.  A frame offered at ``t`` starts at
+    ``max(t, tail)``, occupies the wire for its transmission delay and is
+    delivered one propagation latency later — one event per frame.  Sends
+    must be booked in non-decreasing offer time (every transmitter books
+    at or after ``sim.now``, and each direction has one transmitter), so
+    deliveries leave in FIFO order.  Wire counters are bumped at booking.
+    """
 
     def __init__(self, sim: Simulator, bandwidth_bps: float, latency_ns: int):
         self._sim = sim
         self._bandwidth = bandwidth_bps
         self._latency = latency_ns
-        self._queue: Deque[Frame] = deque()
-        self._busy = False
+        self._tail_ns = 0
         self._sink: Optional[NetDevice] = None
         self.frames_carried = 0
         self.bytes_carried = 0
-        # Vectorized-burst state: when the serialization finish time of the
-        # last analytically-sent frame, and the FIFO of frames awaiting the
-        # scalar fallback delivery events scheduled by send_vector().
-        self._vector_tail_ns = 0
-        self._vector_fifo: Deque[Frame] = deque()
 
     def attach_sink(self, sink: NetDevice) -> None:
         self._sink = sink
 
-    def send(self, frame: Frame) -> None:
-        if self._vector_tail_ns > self._sim.now:
-            # A vectorized burst's serialization extends past `now`; a
-            # scalar frame interleaved here could not honour FIFO order.
-            raise RuntimeError(
-                "scalar send while a vectorized burst is still serializing "
-                "on this link direction"
-            )
-        self._queue.append(frame)
-        if not self._busy:
-            self._serialize_next()
-
-    def send_vector(self, times: Sequence[int], frames: Sequence[Frame]) -> None:
-        """Send ``frames[i]`` at sim-time ``times[i]`` analytically.
-
-        Serialization is the same FIFO math as the scalar path —
-        ``start_i = max(times[i], finish_{i-1})``, ``finish_i = start_i +
-        tx_delay_i`` — but computed in one pass with no intermediate
-        events: the only events created are the deliveries (and none at
-        all when the sink implements ``receive_burst``, which carries the
-        whole vector another hop).  Delivery timestamps are bit-identical
-        to the scalar path.  ``times`` must be non-decreasing and at or
-        after ``sim.now``; the direction must otherwise be idle (a single
-        transmitter — e.g. the frontend tier — is the intended user).
-        Wire counters are bumped up front rather than at each frame's
-        serialization instant; end-of-run totals are unchanged.
-        """
-        if len(times) != len(frames):
-            raise ValueError("times and frames must have equal length")
-        if not frames:
-            return
-        if self._busy or self._queue:
-            raise RuntimeError(
-                "send_vector on a link direction with scalar frames in flight"
-            )
+    def send_at(self, t: int, frame: Frame) -> None:
+        """Offer ``frame`` to the wire at sim-time ``t`` (>= ``sim.now``)."""
         assert self._sink is not None, "link endpoint not attached"
-        tail = self._vector_tail_ns
-        latency = self._latency
-        deliveries: List[int] = []
-        for t, frame in zip(times, frames):
-            start = t if t > tail else tail
-            tail = start + transmission_delay_ns(frame.wire_bytes, self._bandwidth)
-            self.frames_carried += 1
-            self.bytes_carried += frame.wire_bytes
-            deliveries.append(tail + latency)
-        self._vector_tail_ns = tail
-        receive_burst = getattr(self._sink, "receive_burst", None)
-        if receive_burst is not None:
-            receive_burst(frames, deliveries)
-        else:
-            self._vector_fifo.extend(frames)
-            self._sim.schedule_many(deliveries, self._deliver_next)
-
-    def _deliver_next(self) -> None:
-        self._sink.receive_frame(self._vector_fifo.popleft())
-
-    def _serialize_next(self) -> None:
-        if not self._queue:
-            self._busy = False
-            return
-        self._busy = True
-        frame = self._queue.popleft()
-        delay = transmission_delay_ns(frame.wire_bytes, self._bandwidth)
-        self._sim.schedule(delay, self._serialized, frame)
-
-    def _serialized(self, frame: Frame) -> None:
+        start = max(t, self._tail_ns)
+        self._tail_ns = start + transmission_delay_ns(frame.wire_bytes, self._bandwidth)
         self.frames_carried += 1
         self.bytes_carried += frame.wire_bytes
-        self._sim.schedule(self._latency, self._deliver, frame)
-        self._serialize_next()
+        self._sim.schedule_at(
+            self._tail_ns + self._latency, self._sink.receive_frame, frame
+        )
 
-    def _deliver(self, frame: Frame) -> None:
-        assert self._sink is not None, "link endpoint not attached"
-        self._sink.receive_frame(frame)
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
+    def send(self, frame: Frame) -> None:
+        self.send_at(self._sim.now, frame)
 
 
 class Link:
@@ -168,13 +105,9 @@ class LinkPort:
     def send(self, frame: Frame) -> None:
         self._direction.send(frame)
 
-    def send_vector(self, times: Sequence[int], frames: Sequence[Frame]) -> None:
-        """Vectorized multi-frame send — see :meth:`_Direction.send_vector`."""
-        self._direction.send_vector(times, frames)
-
-    @property
-    def queue_depth(self) -> int:
-        return self._direction.queue_depth
+    def send_at(self, t: int, frame: Frame) -> None:
+        """Offer ``frame`` at sim-time ``t`` — see :meth:`_Direction.send_at`."""
+        self._direction.send_at(t, frame)
 
     @property
     def bytes_carried(self) -> int:

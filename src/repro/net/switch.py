@@ -9,7 +9,7 @@ disabled.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict
 
 from repro.net.link import Link, LinkPort
 from repro.net.packet import Frame
@@ -36,39 +36,19 @@ class Switch:
         self._ports[peer_name] = link.endpoint_port(self)
 
     def receive_frame(self, frame: Frame) -> None:
+        """Book ``frame`` on its output port one forwarding latency from now.
+
+        No forwarding event is needed: the switch is the only transmitter
+        on its output link directions and books them at ``now + forward
+        latency``, which never decreases, so each output FIFO is offered
+        its frames in arrival order.
+        """
         port = self._ports.get(frame.dst)
         if port is None:
             self.frames_dropped += 1
             return
-        self._sim.schedule(self.forward_latency_ns, self._forward, frame, port)
-
-    def _forward(self, frame: Frame, port: LinkPort) -> None:
         self.frames_forwarded += 1
-        port.send(frame)
-
-    def receive_burst(self, frames: Sequence[Frame], times: Sequence[int]) -> None:
-        """Vectorized arrival of ``frames[i]`` at ``times[i]`` (non-decreasing).
-
-        The analytic counterpart of per-frame ``receive_frame`` +
-        ``_forward`` events: forwarding latency is added to the arrival
-        vector and each destination's sub-vector continues down its output
-        link's ``send_vector`` in arrival order.  Forward/drop counters are
-        bumped up front (same end-of-run totals).
-        """
-        groups: Dict[str, Tuple[LinkPort, List[Frame], List[int]]] = {}
-        for frame, t in zip(frames, times):
-            group = groups.get(frame.dst)
-            if group is None:
-                port = self._ports.get(frame.dst)
-                if port is None:
-                    self.frames_dropped += 1
-                    continue
-                group = groups[frame.dst] = (port, [], [])
-            group[1].append(frame)
-            group[2].append(t + self.forward_latency_ns)
-        for port, group_frames, group_times in groups.values():
-            self.frames_forwarded += len(group_frames)
-            port.send_vector(group_times, group_frames)
+        port.send_at(self._sim.now + self.forward_latency_ns, frame)
 
     @property
     def known_destinations(self):

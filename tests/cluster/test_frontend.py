@@ -173,47 +173,47 @@ class TestFrontendPlanner:
 
 
 class TestFrontendPort:
-    def test_scalar_and_bulk_inject_book_identical_sends(self):
+    def test_inject_books_sends_and_records_rtts(self):
         from repro.net.link import Link
         from repro.net.packet import make_http_request, make_response
         from repro.sim.kernel import Simulator
         from repro.sim.units import US, gbps
 
-        def run(bulk):
-            sim = Simulator()
-            port = FrontendPort(sim, "frontend0", bulk=bulk)
+        sim = Simulator()
+        port = FrontendPort(sim, "frontend0")
 
-            class Echo:  # immediately bounce a response back
-                name = "server0"
+        class Echo:  # bounce a response back 1 us after each request
+            name = "server0"
 
-                def __init__(self):
-                    self.link_port = None
+            def __init__(self):
+                self.link_port = None
 
-                def receive_frame(self, frame):
-                    response = make_response(
-                        "server0", "frontend0", 200, req_id=frame.req_id
-                    )
-                    sim.schedule(1000, self.link_port.send, response)
+            def receive_frame(self, frame):
+                response = make_response(
+                    "server0", "frontend0", 200, req_id=frame.req_id
+                )
+                sim.schedule(1000, self.link_port.send, response)
 
-            echo = Echo()
-            link = Link(sim, gbps(10), 1 * US)
-            link.attach(port, echo)
-            port.attach_port(link.endpoint_port(port))
-            echo.link_port = link.endpoint_port(echo)
-            frames = [
-                make_http_request("frontend0", "server0", req_id=i)
-                for i in range(1, 4)
-            ]
-            port.inject([(10_000 * i, f) for i, f in enumerate(frames, 1)])
-            sim.run()
-            return port
-
-        bulk, scalar = run(True), run(False)
-        assert bulk.requests_sent == scalar.requests_sent == 3
-        assert bulk.responses_received == scalar.responses_received == 3
-        assert bulk.rtts == scalar.rtts
-        assert bulk.outstanding == scalar.outstanding == 0
-        assert bulk.sent_in_window(0, 100_000) == 3
-        assert bulk.rtts_in_window(15_000, 25_000) == [
-            rtt for send, rtt in bulk.rtts if send == 20_000
+        echo = Echo()
+        link = Link(sim, gbps(10), 1 * US)
+        link.attach(port, echo)
+        port.attach_port(link.endpoint_port(port))
+        echo.link_port = link.endpoint_port(echo)
+        frames = [
+            make_http_request("frontend0", "server0", req_id=i)
+            for i in range(1, 4)
+        ]
+        port.inject([(10_000 * i, f) for i, f in enumerate(frames, 1)])
+        # Sends are booked (and counted outstanding) before any event runs.
+        assert port.requests_sent == port.outstanding == 3
+        assert sorted(port.sent.values()) == [10_000, 20_000, 30_000]
+        sim.run()
+        assert port.responses_received == 3
+        assert port.outstanding == 0
+        assert [send for send, _ in port.rtts] == [10_000, 20_000, 30_000]
+        # Every RTT is the same: two identical wire trips plus the echo.
+        assert len({rtt for _, rtt in port.rtts}) == 1
+        assert port.sent_in_window(0, 100_000) == 3
+        assert port.rtts_in_window(15_000, 25_000) == [
+            rtt for send, rtt in port.rtts if send == 20_000
         ]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import Frame, Link
+from repro.net import Frame, Link, Switch
 from repro.sim import Simulator
 from repro.sim.units import US, gbps
 
@@ -74,6 +74,46 @@ class TestLink:
         assert port.frames_carried == 1
         assert port.bytes_carried == frame.wire_bytes
 
+    def test_send_at_books_future_times_fifo(self):
+        # Offers at 0, 0, 100 ns and 5 us: start = max(t, tail), so the
+        # first three queue back to back and the last finds the wire idle.
+        sim, link, a, b = make_link()
+        frames = [Frame("a", "b", payload_bytes=1250 - 66) for _ in range(4)]
+        port = link.endpoint_port(a)
+        for t, frame in zip([0, 0, 100, 5 * US], frames):
+            port.send_at(t, frame)
+        sim.run()
+        assert [t for t, _ in b.received] == [2 * US, 3 * US, 4 * US, 7 * US]
+        assert [f.frame_id for _, f in b.received] == [f.frame_id for f in frames]
+
+    def test_send_and_send_at_interleave_on_one_direction(self):
+        sim, link, a, b = make_link()
+        port = link.endpoint_port(a)
+        booked = Frame("a", "b", payload_bytes=1250 - 66)
+        now = Frame("a", "b", payload_bytes=1250 - 66)
+        later = Frame("a", "b", payload_bytes=1250 - 66)
+        port.send_at(500, booked)  # on the wire 500..1500 ns
+        sim.schedule_at(1_000, port.send, now)  # waits for the tail
+        sim.schedule_at(1_000, port.send_at, 4 * US, later)
+        sim.run()
+        assert [(t, f.frame_id) for t, f in b.received] == [
+            (2_500, booked.frame_id),
+            (3_500, now.frame_id),
+            (6 * US, later.frame_id),
+        ]
+
+    def test_counters_bumped_at_booking(self):
+        sim, link, a, b = make_link()
+        port = link.endpoint_port(a)
+        port.send_at(10 * US, Frame("a", "b", payload_bytes=1250 - 66))
+        assert (port.frames_carried, port.bytes_carried) == (1, 1250)
+
+    def test_one_event_per_hop(self):
+        sim, link, a, b = make_link()
+        link.endpoint_port(a).send(Frame("a", "b", payload_bytes=100))
+        sim.run()
+        assert sim.events_executed == 1
+
     def test_unattached_device_rejected(self):
         sim, link, a, b = make_link()
         with pytest.raises(ValueError):
@@ -87,29 +127,60 @@ class TestLink:
             Link(sim, latency_ns=-1)
 
 
+def make_switched(*names):
+    """A switch with one ``Sink`` per name, each on its own link."""
+    sim = Simulator()
+    switch = Switch(sim)
+    sinks, ports = {}, {}
+    for name in names:
+        sink = Sink(name, sim)
+        link = Link(sim)
+        link.attach(sink, switch)
+        switch.attach_link(link, name)
+        sinks[name], ports[name] = sink, link.endpoint_port(sink)
+    return sim, switch, sinks, ports
+
+
 class TestSwitchIntegration:
     def test_two_hop_forwarding(self):
-        from repro.net import Switch
-
-        sim = Simulator()
-        switch = Switch(sim)
-        client, server = Sink("client", sim), Sink("server", sim)
-        l1 = Link(sim)
-        l2 = Link(sim)
-        l1.attach(client, switch)
-        l2.attach(switch, server)
-        switch.attach_link(l1, "client")
-        switch.attach_link(l2, "server")
-
-        l1.endpoint_port(client).send(Frame("client", "server", payload_bytes=1250 - 66))
+        sim, switch, sinks, ports = make_switched("client", "server")
+        ports["client"].send(Frame("client", "server", payload_bytes=1250 - 66))
         sim.run()
         # 1 us serialize + 1 us prop + 1 us forward + 1 us serialize + 1 us prop.
-        assert server.received[0][0] == 5 * US
+        assert sinks["server"].received[0][0] == 5 * US
         assert switch.frames_forwarded == 1
 
-    def test_unknown_destination_dropped(self):
-        from repro.net import Switch
+    def test_client_switch_server_costs_two_events(self):
+        sim, switch, sinks, ports = make_switched("client", "server")
+        ports["client"].send(Frame("client", "server", payload_bytes=100))
+        sim.run()
+        assert sim.events_executed == 2
+        assert len(sinks["server"].received) == 1
 
+    def test_output_port_contention_is_fifo(self):
+        # Two senders' frames reach the switch 1 ns apart and contend for
+        # one output link: the second waits for the first's serialization.
+        sim, switch, sinks, ports = make_switched("x", "y", "server")
+        fx = Frame("x", "server", payload_bytes=1250 - 66)
+        fy = Frame("y", "server", payload_bytes=1250 - 66)
+        ports["x"].send(fx)
+        sim.schedule_at(1, ports["y"].send, fy)
+        sim.run()
+        assert [(t, f.frame_id) for t, f in sinks["server"].received] == [
+            (5 * US, fx.frame_id),
+            (6 * US, fy.frame_id),
+        ]
+
+    def test_routes_per_destination_and_counts_drops(self):
+        sim, switch, sinks, ports = make_switched("c", "x", "y")
+        for dst in ("x", "y", "nowhere", "x"):
+            ports["c"].send(Frame("c", dst, payload_bytes=100))
+        sim.run()
+        assert len(sinks["x"].received) == 2
+        assert len(sinks["y"].received) == 1
+        assert (switch.frames_forwarded, switch.frames_dropped) == (3, 1)
+
+    def test_unknown_destination_dropped(self):
         sim = Simulator()
         switch = Switch(sim)
         client = Sink("client", sim)
@@ -121,8 +192,6 @@ class TestSwitchIntegration:
         assert switch.frames_dropped == 1
 
     def test_known_destinations(self):
-        from repro.net import Switch
-
         sim = Simulator()
         switch = Switch(sim)
         client = Sink("client", sim)
