@@ -6,6 +6,7 @@ from repro.apps.client import (
     OpenLoopClient,
     http_request_factory,
     memcached_request_factory,
+    request_factory,
 )
 from repro.apps.memcached import MemcachedApp, MemcachedProfile
 from repro.apps.workload import (
@@ -25,6 +26,7 @@ __all__ = [
     "OpenLoopClient",
     "http_request_factory",
     "memcached_request_factory",
+    "request_factory",
     "MemcachedApp",
     "MemcachedProfile",
     "APACHE_SLA_NS",

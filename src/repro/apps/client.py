@@ -20,6 +20,7 @@ from repro.apps.workload import burst_arrival_times
 from repro.net.link import LinkPort
 from repro.net.packet import Frame, make_http_request, make_memcached_request
 from repro.sim.kernel import Event, Simulator
+from repro.sim.rng import RngRegistry
 
 _req_ids = itertools.count(1)
 
@@ -61,6 +62,21 @@ def memcached_request_factory(
         )
 
     return make
+
+
+def request_factory(
+    app: str, client: str, server: str, rng: RngRegistry
+) -> Callable[[int], Frame]:
+    """``app``'s request factory for ``client`` → ``server``.
+
+    Apache clients send HTTP GETs; Memcached clients draw their keys
+    from the ``<client>.keys`` stream of ``rng``.
+    """
+    if app == "apache":
+        return http_request_factory(client, server)
+    return memcached_request_factory(
+        client, server, rng=rng.stream(f"{client}.keys")
+    )
 
 
 class OpenLoopClient:

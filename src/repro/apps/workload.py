@@ -152,6 +152,25 @@ def default_burst_size(app: str) -> int:
         raise KeyError(app) from None
 
 
+def check_run_fields(
+    app: str, warmup_ns: int, measure_ns: int, drain_ns: int
+) -> None:
+    """Reject an unknown ``app`` or an unusable run window.
+
+    Raises ``ValueError`` naming the offending field, so a bad config
+    fails when it is built rather than after the whole run.
+    """
+    if app not in DEFAULT_BURST_SIZE:
+        raise ValueError(
+            f"app must be one of {sorted(DEFAULT_BURST_SIZE)}, got {app!r}"
+        )
+    if measure_ns < 1:
+        raise ValueError(f"measure_ns must be at least 1, got {measure_ns}")
+    for name, value in (("warmup_ns", warmup_ns), ("drain_ns", drain_ns)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
+
+
 def sla_for(app: str) -> int:
     """The application's SLA in nanoseconds."""
     if app == "apache":

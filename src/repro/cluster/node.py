@@ -9,13 +9,15 @@ A :class:`ServerNode` assembles the whole stack for one policy:
 - NCAP hardware or software, when the policy asks for it.
 
 The node itself is the link endpoint (frames for ``node.name`` terminate
-at its NIC).
+at its NIC).  A :class:`WindowMeter` reads a node's energy, busy time and
+idle accounting at the two edges of a measurement window.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
+from repro.analysis.energy import EnergyAttribution, attribution_between
 from repro.apps.apache import ApacheApp, ApacheProfile
 from repro.apps.memcached import MemcachedApp, MemcachedProfile
 from repro.core.config import NCAPConfig
@@ -24,6 +26,8 @@ from repro.core.ncap_nic import NCAPHardware
 from repro.core.ncap_sw import NCAPSoftware
 from repro.cluster.policies import PolicyConfig, get_policy
 from repro.cpu.config import ProcessorConfig
+from repro.cpu.energy import EnergyReport
+from repro.metrics.energy import energy_delta
 from repro.net.driver import NICDriver
 from repro.net.interrupts import ModerationConfig
 from repro.net.link import LinkPort
@@ -35,7 +39,13 @@ from repro.oskernel.cpufreq import (
     PerformanceGovernor,
     PowersaveGovernor,
 )
-from repro.oskernel.cpuidle import CpuidleDriver, LadderGovernor, MenuGovernor
+from repro.oskernel.cpuidle import (
+    CpuidleDriver,
+    IdleAccounting,
+    LadderGovernor,
+    MenuGovernor,
+    build_idle_accounting,
+)
 from repro.oskernel.irq import IRQController
 from repro.oskernel.netstack import NetStackCosts
 from repro.oskernel.scheduler import Scheduler
@@ -45,6 +55,44 @@ from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
 from repro.sim.units import MS
 from repro.telemetry import Telemetry, ensure_telemetry
+
+
+class WindowMeter:
+    """Energy, per-core busy time and idle accounting over one window.
+
+    ``package`` is anything with ``energy_report()`` and
+    ``busy_ns_per_core()`` (a processor package or a multi-domain
+    processor); ``accounting`` is the optional energy-attribution
+    observer.  :meth:`mark` reads all three together, so both edges of
+    the window see the same meter state; call it once at each edge.
+    """
+
+    def __init__(self, package, accounting: Optional[IdleAccounting]):
+        self.package = package
+        self.accounting = accounting
+        self._edges: List[Tuple[EnergyReport, List[int], Optional[Dict]]] = []
+
+    def mark(self) -> None:
+        self._edges.append((
+            self.package.energy_report(),
+            self.package.busy_ns_per_core(),
+            self.accounting.snapshot() if self.accounting is not None else None,
+        ))
+
+    def energy(self) -> EnergyReport:
+        (start, _, _), (end, _, _) = self._edges
+        return energy_delta(start, end)
+
+    def utilization(self, measure_ns: int) -> float:
+        """Mean per-core busy fraction over a window ``measure_ns`` long."""
+        (_, start, _), (_, end, _) = self._edges
+        return sum(b - a for a, b in zip(start, end)) / (len(start) * measure_ns)
+
+    def energy_attribution(self) -> Optional[EnergyAttribution]:
+        if self.accounting is None:
+            return None
+        (_, _, start), (_, _, end) = self._edges
+        return attribution_between(start, end, self.energy())
 
 
 class ServerNode:
@@ -199,6 +247,44 @@ class ServerNode:
             self.ncap_hw.stop()
         if self.ncap_sw is not None:
             self.ncap_sw.stop()
+
+    # -- measurement ------------------------------------------------------------------
+
+    def window_meter(self, energy_attribution: bool = False) -> WindowMeter:
+        """A :class:`WindowMeter` over this node's package.
+
+        ``energy_attribution=True`` attaches the idle-accounting observer
+        first.  It only reads the node's own meters and governor, so the
+        payload is the same wherever the node is placed.
+        """
+        accounting = None
+        if energy_attribution:
+            accounting = build_idle_accounting(
+                self.package.cstates,
+                self.cpuidle.governor if self.cpuidle is not None else None,
+                telemetry=self.telemetry,
+            )
+            accounting.attach(self.package.cores)
+        return WindowMeter(self.package, accounting)
+
+    def ncap_stats(self) -> Dict[str, int]:
+        """The NCAP engine's post counters (empty without NCAP)."""
+        engine = self.engine
+        if engine is None:
+            return {}
+        return {
+            "it_high_posts": engine.it_high_posts,
+            "it_low_posts": engine.it_low_posts,
+            "immediate_rx_posts": engine.immediate_rx_posts,
+        }
+
+    def cstate_entries(self) -> Dict[str, int]:
+        """C-state entry counts summed over the package's cores."""
+        totals: Dict[str, int] = {}
+        for core in self.package.cores:
+            for state, count in core.cstate_entries.items():
+                totals[state] = totals.get(state, 0) + count
+        return totals
 
     # -- introspection ----------------------------------------------------------------
 

@@ -209,9 +209,6 @@ class PerCoreServerNode:
 
     # -- accounting ----------------------------------------------------------------
 
-    def energy_report(self):
-        return self.processor.energy_report()
-
     def total_it_high_posts(self) -> int:
         return sum(h.engine.it_high_posts for h in self.ncap_hw)
 

@@ -21,8 +21,7 @@ plus any extra registry subtrees named in
 
 Utilization and power are *windowed* gauges: closures snapshot the
 package's cumulative busy-ns / energy at each tick and record the delta
-over the elapsed interval, exactly the way the retired
-``UtilizationSampler`` binned utilization.  When a live trace recorder is
+over the elapsed interval.  When a live trace recorder is
 passed, the utilization source carries a tap that keeps writing the
 legacy ``<node>.cpu.util`` event channel on every raw sample, so trace
 consumers (Figure 4, the trace-invariant tests) see bit-identical data.
@@ -51,9 +50,8 @@ STANDARD_COUNTERS = (
 def utilization_source(package, interval_ns: int):
     """Mean core utilization over each elapsed interval, clamped to 1.
 
-    Matches the legacy ``UtilizationSampler`` bin math: the delta of
-    cumulative busy-ns since the previous tick, averaged across cores and
-    normalized by the sampling interval.
+    The delta of cumulative busy-ns since the previous tick, averaged
+    across cores and normalized by the sampling interval.
     """
     state = {"busy": package.busy_ns_per_core()}
 
@@ -64,10 +62,6 @@ def utilization_source(package, interval_ns: int):
         deltas = [b - prev for b, prev in zip(busy, last)]
         return min(1.0, sum(deltas) / (len(deltas) * interval_ns))
 
-    def reset() -> None:
-        state["busy"] = package.busy_ns_per_core()
-
-    sample.reset = reset  # type: ignore[attr-defined]
     return sample
 
 

@@ -45,12 +45,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.apps.client import (
-    OpenLoopClient,
-    http_request_factory,
-    memcached_request_factory,
-)
-from repro.analysis.energy import EnergyAttribution, attribution_between
+from repro.apps.client import OpenLoopClient, request_factory
+from repro.analysis.energy import EnergyAttribution
 from repro.apps.workload import burst_period_ns, default_burst_size, sla_for
 from repro.cluster.datacenter import (
     DatacenterConfig,
@@ -59,23 +55,20 @@ from repro.cluster.datacenter import (
     ShardStats,
 )
 from repro.cluster.frontend import Dispatch, FrontendPlanner, FrontendPort
-from repro.cluster.node import ServerNode
+from repro.cluster.node import ServerNode, WindowMeter
 from repro.cluster.recording import build_server_recorder
 from repro.cpu.energy import EnergyReport
 from repro.harness.hashing import config_hash
 from repro.harness.record import ResultRecord
 from repro.harness.runner import resolve_jobs
-from repro.metrics.energy import average_power_w, energy_delta
+from repro.metrics.energy import average_power_w
 from repro.metrics.latency import LatencyStats
-from repro.net.link import Link
 from repro.net.switch import Switch
-from repro.oskernel.cpuidle import IdleAccounting, build_idle_accounting
 from repro.profiling.fleet import FleetProfile, WindowSample
 from repro.profiling.profiler import SimProfiler
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import NullTraceRecorder
-from repro.sim.units import US, gbps
 from repro.telemetry.monitor import RunMonitor, resolve_monitor
 from repro.telemetry.recorder import (
     RecorderConfig,
@@ -201,6 +194,8 @@ class ShardRun:
         self._trace = NullTraceRecorder()
         self.switch = Switch(self.sim)
         self.servers: List[ServerNode] = []
+        #: One measurement-window meter per server, parallel to ``servers``.
+        self.meters: List[WindowMeter] = []
         self.clients: Dict[str, List[OpenLoopClient]] = {}
         self.frontend_ports: Dict[int, FrontendPort] = {}
         self.recorders: Dict[str, object] = {}
@@ -212,8 +207,6 @@ class ShardRun:
         self.tracer: Optional[RequestTraceCollector] = None
         if trace_sample_every is not None and config.frontend is not None:
             self.tracer = RequestTraceCollector(trace_sample_every)
-        self._accountings: Dict[str, IdleAccounting] = {}
-        self._accounting_snapshots: Dict[str, Dict[str, object]] = {}
 
         shares = config.resolved_shares()
         burst_size = default_burst_size(config.app)
@@ -223,33 +216,15 @@ class ShardRun:
                 self.sim, server_name, config.policy, config.app, self.rng,
                 trace=self._trace,
             )
-            link = Link(self.sim, gbps(10), 1 * US)
-            link.attach(server, self.switch)
-            server.attach_port(link.endpoint_port(server))
-            self.switch.attach_link(link, server_name)
+            self.switch.connect(server)
             self.servers.append(server)
             if self.tracer is not None:
                 self.tracer.attach_server(i, server)
-            if energy_attribution:
-                # Per-server accounting is placement-independent (it only
-                # reads the server's own meters/governor), so serial,
-                # sharded, and pooled runs produce identical payloads.
-                accounting = build_idle_accounting(
-                    server.package.cstates,
-                    server.cpuidle.governor
-                    if server.cpuidle is not None
-                    else None,
-                    telemetry=server.telemetry,
-                )
-                accounting.attach(server.package.cores)
-                self._accountings[server.name] = accounting
+            self.meters.append(server.window_meter(energy_attribution))
 
             if config.frontend is not None:
                 port = FrontendPort(self.sim, f"frontend{i}")
-                fe_link = Link(self.sim, gbps(10), 1 * US)
-                fe_link.attach(port, self.switch)
-                port.attach_port(fe_link.endpoint_port(port))
-                self.switch.attach_link(fe_link, port.name)
+                self.switch.connect(port)
                 self.frontend_ports[i] = port
                 if self.tracer is not None:
                     self.tracer.attach_port(i, port)
@@ -261,23 +236,16 @@ class ShardRun:
                 pool: List[OpenLoopClient] = []
                 for j in range(config.clients_per_server):
                     client_name = f"client{i}_{j}"
-                    if config.app == "apache":
-                        factory = http_request_factory(client_name, server_name)
-                    else:
-                        factory = memcached_request_factory(
-                            client_name, server_name,
-                            rng=self.rng.stream(f"{client_name}.keys"),
-                        )
                     client = OpenLoopClient(
-                        self.sim, client_name, factory,
+                        self.sim, client_name,
+                        request_factory(
+                            config.app, client_name, server_name, self.rng
+                        ),
                         burst_size=burst_size, burst_period_ns=period,
                         jitter_rng=self.rng.stream(f"{client_name}.jitter"),
                         jitter_fraction=0.30,
                     )
-                    client_link = Link(self.sim, gbps(10), 1 * US)
-                    client_link.attach(client, self.switch)
-                    client.attach_port(client_link.endpoint_port(client))
-                    self.switch.attach_link(client_link, client_name)
+                    self.switch.connect(client)
                     pool.append(client)
                 self.clients[server_name] = pool
 
@@ -285,9 +253,6 @@ class ShardRun:
                 self.recorders[server_name] = build_server_recorder(
                     self.sim, server, recorder_config, trace=self._trace
                 )
-
-        self._snapshots: Dict[str, EnergyReport] = {}
-        self._busy_marks: Dict[str, List[int]] = {}
 
     # -- lifecycle -------------------------------------------------------
 
@@ -303,25 +268,15 @@ class ShardRun:
             recorder.start()
         window_start = config.warmup_ns
         window_end = config.warmup_ns + config.measure_ns
-        self.sim.schedule_at(window_start, self._snap, "a")
-        self.sim.schedule_at(window_end, self._snap, "b")
+        self.sim.schedule_at(window_start, self._mark_window)
+        self.sim.schedule_at(window_end, self._mark_window)
         for pool in self.clients.values():
             for client in pool:
                 self.sim.schedule_at(window_end, client.stop)
 
-    def _snap(self, tag: str) -> None:
-        for server in self.servers:
-            self._snapshots[f"{server.name}.{tag}"] = (
-                server.package.energy_report()
-            )
-            self._busy_marks[f"{server.name}.{tag}"] = (
-                server.package.busy_ns_per_core()
-            )
-            accounting = self._accountings.get(server.name)
-            if accounting is not None:
-                self._accounting_snapshots[f"{server.name}.{tag}"] = (
-                    accounting.snapshot()
-                )
+    def _mark_window(self) -> None:
+        for meter in self.meters:
+            meter.mark()
 
     def advance(
         self,
@@ -361,7 +316,9 @@ class ShardRun:
         window_start = config.warmup_ns
         window_end = config.warmup_ns + config.measure_ns
         measures: List[ServerMeasure] = []
-        for i, server in zip(self.server_indices, self.servers):
+        for i, server, meter in zip(
+            self.server_indices, self.servers, self.meters
+        ):
             if config.frontend is not None:
                 sources = [self.frontend_ports[i]]
             else:
@@ -371,39 +328,12 @@ class ShardRun:
             for source in sources:
                 rtts.extend(source.rtts_in_window(window_start, window_end))
                 sent += source.sent_in_window(window_start, window_end)
-            energy = energy_delta(
-                self._snapshots[f"{server.name}.a"],
-                self._snapshots[f"{server.name}.b"],
-            )
-            busy_a = self._busy_marks[f"{server.name}.a"]
-            busy_b = self._busy_marks[f"{server.name}.b"]
-            utilization = sum(
-                b - a for a, b in zip(busy_a, busy_b)
-            ) / (len(busy_a) * config.measure_ns)
-            ncap_stats: Dict[str, int] = {}
-            engine = server.engine
-            if engine is not None:
-                ncap_stats = {
-                    "it_high_posts": engine.it_high_posts,
-                    "it_low_posts": engine.it_low_posts,
-                    "immediate_rx_posts": engine.immediate_rx_posts,
-                }
-            cstate_entries: Dict[str, int] = {}
-            for core in server.package.cores:
-                for state, count in core.cstate_entries.items():
-                    cstate_entries[state] = cstate_entries.get(state, 0) + count
             recorder = self.recorders.get(server.name)
             timeseries = None
             if recorder is not None:
                 recorder.stop()
                 timeseries = recorder.bundle().to_json_dict()
-            energy_attribution = None
-            if server.name in self._accountings:
-                energy_attribution = attribution_between(
-                    self._accounting_snapshots[f"{server.name}.a"],
-                    self._accounting_snapshots[f"{server.name}.b"],
-                    energy,
-                ).to_json_dict()
+            energy_attribution = meter.energy_attribution()
             measures.append(
                 ServerMeasure(
                     index=i,
@@ -412,13 +342,17 @@ class ShardRun:
                     rtts=rtts,
                     sent=sent,
                     responses=len(rtts),
-                    energy=energy,
-                    utilization=utilization,
-                    cstate_entries=cstate_entries,
-                    ncap_stats=ncap_stats,
+                    energy=meter.energy(),
+                    utilization=meter.utilization(config.measure_ns),
+                    cstate_entries=server.cstate_entries(),
+                    ncap_stats=server.ncap_stats(),
                     counters=server.telemetry.stats.snapshot(),
                     timeseries=timeseries,
-                    energy_attribution=energy_attribution,
+                    energy_attribution=(
+                        energy_attribution.to_json_dict()
+                        if energy_attribution is not None
+                        else None
+                    ),
                 )
             )
         return ShardResult(

@@ -14,26 +14,25 @@ from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from repro.analysis.attribution import AttributionReport, AttributionSink
 from repro.analysis.audit import InvariantAuditor
-from repro.analysis.energy import EnergyAttribution, attribution_between
+from repro.analysis.energy import EnergyAttribution
 from repro.analysis.sketch import StreamingSketch
-from repro.apps.client import (
-    OpenLoopClient,
-    http_request_factory,
-    memcached_request_factory,
+from repro.apps.client import OpenLoopClient, request_factory
+from repro.apps.workload import (
+    burst_period_ns,
+    check_run_fields,
+    default_burst_size,
+    sla_for,
 )
-from repro.apps.workload import burst_period_ns, default_burst_size, sla_for
 from repro.cluster.node import ServerNode
 from repro.cluster.policies import PolicyConfig
 from repro.cluster.recording import build_server_recorder, utilization_source
 from repro.core.config import NCAPConfig
 from repro.cpu.config import ProcessorConfig
 from repro.cpu.energy import EnergyReport
-from repro.metrics.energy import average_power_w, energy_delta
+from repro.metrics.energy import average_power_w
 from repro.metrics.latency import LatencyStats
 from repro.net.interrupts import ModerationConfig
-from repro.net.link import Link
 from repro.net.switch import Switch
-from repro.oskernel.cpuidle import build_idle_accounting
 from repro.oskernel.netstack import NetStackCosts
 from repro.profiling.profiler import LoopProfile, SimProfiler
 from repro.sim.kernel import Simulator
@@ -82,6 +81,9 @@ class ExperimentConfig:
     ncap_base_config: Optional[NCAPConfig] = None
     apache_profile: Optional[object] = None
     memcached_profile: Optional[object] = None
+
+    def __post_init__(self) -> None:
+        check_run_fields(self.app, self.warmup_ns, self.measure_ns, self.drain_ns)
 
     @property
     def sla_ns(self) -> int:
@@ -235,21 +237,11 @@ class Cluster:
         )
         self.switch = Switch(self.sim)
         self.clients: List[OpenLoopClient] = []
-        self._energy_snapshots: Dict[str, EnergyReport] = {}
-        #: Energy-attribution accounting — an observer like sinks/audit,
+        #: Energy-attribution accounting is an observer like sinks/audit,
         #: never a config field: per-idle-exit bookings only resegment the
         #: meters at boundaries that close anyway, so attaching it cannot
         #: change the simulated result (the parity test proves it).
-        self.energy_accounting = None
-        self._accounting_snapshots: Dict[str, Dict[str, object]] = {}
-        if energy_attribution:
-            cpuidle = self.server.cpuidle
-            self.energy_accounting = build_idle_accounting(
-                self.server.package.cstates,
-                cpuidle.governor if cpuidle is not None else None,
-                telemetry=self.telemetry,
-            )
-            self.energy_accounting.attach(self.server.package.cores)
+        self.meter = self.server.window_meter(energy_attribution)
         window = (config.warmup_ns, config.warmup_ns + config.measure_ns)
         if self.attribution is not None:
             # The sink needs F_max (to re-cost cycles) and the measurement
@@ -268,8 +260,7 @@ class Cluster:
         #: field.  ``record_timeseries=`` builds the full standard-series
         #: recorder (and exports a bundle on the result); with only
         #: ``collect_traces`` a minimal recorder keeps the legacy
-        #: ``<node>.cpu.util`` channel alive at the retired
-        #: UtilizationSampler's exact cadence and bin math.
+        #: ``<node>.cpu.util`` channel alive at a 1 ms cadence.
         self.recorder: Optional[TimeSeriesRecorder] = None
         self._export_timeseries = False
         recorder_config = resolve_recorder_config(record_timeseries)
@@ -305,16 +296,10 @@ class Cluster:
         period = burst_period_ns(config.target_rps, config.n_clients, burst_size)
         for i in range(config.n_clients):
             name = f"client{i}"
-            if config.app == "apache":
-                factory = http_request_factory(name, "server")
-            else:
-                factory = memcached_request_factory(
-                    name, "server", rng=self.rng.stream(f"{name}.keys")
-                )
             client = OpenLoopClient(
                 self.sim,
                 name,
-                factory,
+                request_factory(config.app, name, "server", self.rng),
                 burst_size=burst_size,
                 burst_period_ns=period,
                 jitter_rng=self.rng.stream(f"{name}.jitter"),
@@ -329,15 +314,10 @@ class Cluster:
             self.clients.append(client)
 
         # Star topology around the switch.
-        server_link = Link(self.sim, config.link_bandwidth_bps, config.link_latency_ns)
-        server_link.attach(self.server, self.switch)
-        self.server.attach_port(server_link.endpoint_port(self.server))
-        self.switch.attach_link(server_link, "server")
-        for client in self.clients:
-            link = Link(self.sim, config.link_bandwidth_bps, config.link_latency_ns)
-            link.attach(client, self.switch)
-            client.attach_port(link.endpoint_port(client))
-            self.switch.attach_link(link, client.name)
+        for device in [self.server, *self.clients]:
+            self.switch.connect(
+                device, config.link_bandwidth_bps, config.link_latency_ns
+            )
 
     def _attribution_listener(self, client_name: str):
         sink = self.attribution
@@ -356,14 +336,6 @@ class Cluster:
                 sketch.add(rtt_ns)
 
         return listener
-
-    def _window_snapshot(self, tag: str) -> None:
-        """Measurement-window boundary: cumulative energy (and, when the
-        accounting observer is attached, idle-accounting) snapshots, taken
-        in one callback so both see the same meter state."""
-        self._energy_snapshots[tag] = self.server.package.energy_report()
-        if self.energy_accounting is not None:
-            self._accounting_snapshots[tag] = self.energy_accounting.snapshot()
 
     def run(self, keep_server: bool = False) -> ExperimentResult:
         """Simulate and extract the result in one call."""
@@ -386,9 +358,8 @@ class Cluster:
         window_start = config.warmup_ns
         window_end = config.warmup_ns + config.measure_ns
 
-        self._energy_snapshots = {}
-        self.sim.schedule_at(window_start, self._window_snapshot, "start")
-        self.sim.schedule_at(window_end, self._window_snapshot, "end")
+        self.sim.schedule_at(window_start, self.meter.mark)
+        self.sim.schedule_at(window_end, self.meter.mark)
         # Stop generating traffic at window end; drain afterwards.
         for client in self.clients:
             self.sim.schedule_at(window_end, client.stop)
@@ -402,17 +373,9 @@ class Cluster:
         :class:`~repro.analysis.audit.AuditError`.
         """
         config = self.config
-        snapshots = self._energy_snapshots
         window_start = config.warmup_ns
         window_end = config.warmup_ns + config.measure_ns
-
-        energy_attribution: Optional[EnergyAttribution] = None
-        if self.energy_accounting is not None:
-            energy_attribution = attribution_between(
-                self._accounting_snapshots["start"],
-                self._accounting_snapshots["end"],
-                energy_delta(snapshots["start"], snapshots["end"]),
-            )
+        energy_attribution = self.meter.energy_attribution()
 
         if self.auditor is not None:
             self.auditor.finish(
@@ -435,20 +398,7 @@ class Cluster:
                 sent += client.sent_in_window(window_start, window_end)
             latency = LatencyStats.from_values(rtts)
             responses = len(rtts)
-        energy = energy_delta(snapshots["start"], snapshots["end"])
-
-        ncap_stats: Dict[str, int] = {}
-        engine = self.server.engine
-        if engine is not None:
-            ncap_stats = {
-                "it_high_posts": engine.it_high_posts,
-                "it_low_posts": engine.it_low_posts,
-                "immediate_rx_posts": engine.immediate_rx_posts,
-            }
-        cstate_entries: Dict[str, int] = {}
-        for core in self.server.package.cores:
-            for state, count in core.cstate_entries.items():
-                cstate_entries[state] = cstate_entries.get(state, 0) + count
+        energy = self.meter.energy()
 
         return ExperimentResult(
             policy_name=self.server.policy.name,
@@ -463,8 +413,8 @@ class Cluster:
             responses_received=responses,
             incomplete=sent - responses,
             achieved_rps=sent * 1e9 / config.measure_ns,
-            cstate_entries=cstate_entries,
-            ncap_stats=ncap_stats,
+            cstate_entries=self.server.cstate_entries(),
+            ncap_stats=self.server.ncap_stats(),
             counters=self.server.telemetry.stats.snapshot(),
             attribution=(
                 self.attribution.summary() if self.attribution is not None else None

@@ -17,24 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.apps.client import (
-    OpenLoopClient,
-    http_request_factory,
-    memcached_request_factory,
-)
+from repro.apps.client import OpenLoopClient, request_factory
 from repro.apps.workload import burst_period_ns, default_burst_size, load_level, sla_for
+from repro.cluster.node import WindowMeter
 from repro.cluster.simulation import ExperimentConfig, run_experiment
-from repro.experiments.common import RunSettings
+from repro.experiments.common import RunSettings, run_window
 from repro.ext.adrenaline import AdrenalineServerNode
 from repro.harness import Runner
-from repro.metrics.energy import energy_delta
-from repro.metrics.latency import LatencyStats
 from repro.metrics.report import format_table
-from repro.net.link import Link
 from repro.net.switch import Switch
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.units import US, gbps
 
 
 @dataclass
@@ -62,48 +55,23 @@ def run_adrenaline(
     clients: List[OpenLoopClient] = []
     for i in range(n_clients):
         name = f"client{i}"
-        if app == "apache":
-            factory = http_request_factory(name, "server")
-        else:
-            factory = memcached_request_factory(
-                name, "server", rng=rng.stream(f"{name}.keys")
-            )
         clients.append(
             OpenLoopClient(
-                sim, name, factory, burst_size=burst_size, burst_period_ns=period,
+                sim, name, request_factory(app, name, "server", rng),
+                burst_size=burst_size, burst_period_ns=period,
                 jitter_rng=rng.stream(f"{name}.jitter"), jitter_fraction=0.30,
             )
         )
-    server_link = Link(sim, gbps(10), 1 * US)
-    server_link.attach(server, switch)
-    server.attach_port(server_link.endpoint_port(server))
-    switch.attach_link(server_link, "server")
-    for client in clients:
-        link = Link(sim, gbps(10), 1 * US)
-        link.attach(client, switch)
-        client.attach_port(link.endpoint_port(client))
-        switch.attach_link(link, client.name)
-        client.start()
+    for device in [server, *clients]:
+        switch.connect(device)
 
-    window_start = settings.warmup_ns
-    window_end = settings.warmup_ns + settings.measure_ns
-    snapshots = {}
-    sim.schedule_at(window_start, lambda: snapshots.__setitem__("a", server.energy_report()))
-    sim.schedule_at(window_end, lambda: snapshots.__setitem__("b", server.energy_report()))
-    for client in clients:
-        sim.schedule_at(window_end, client.stop)
-    sim.run(until=window_end + settings.drain_ns)
-
-    rtts = []
-    for client in clients:
-        rtts.extend(client.rtts_in_window(window_start, window_end))
-    latency = LatencyStats.from_values(rtts)
-    energy = energy_delta(snapshots["a"], snapshots["b"])
+    meter = WindowMeter(server.processor, None)
+    latency = run_window(sim, meter, clients, settings)
     return BaselineRow(
         system="adrenaline",
         p95_ms=latency.p95_ns / 1e6,
         p99_ms=latency.p99_ns / 1e6,
-        energy_j=energy.energy_j,
+        energy_j=meter.energy().energy_j,
         meets_sla=latency.meets_sla(sla_for(app)),
     )
 

@@ -181,6 +181,3 @@ class AdrenalineServerNode:
 
     def stop(self) -> None:
         pass
-
-    def energy_report(self):
-        return self.processor.energy_report()

@@ -3,11 +3,7 @@
 from repro.metrics.energy import average_power_w, energy_delta
 from repro.metrics.latency import LatencyStats
 from repro.metrics.report import format_series, format_table, sparkline
-from repro.metrics.timeseries import (
-    UtilizationSampler,
-    bandwidth_series_mbps,
-    normalized_series,
-)
+from repro.metrics.timeseries import bandwidth_series_mbps, normalized_series
 
 __all__ = [
     "average_power_w",
@@ -16,7 +12,6 @@ __all__ = [
     "format_series",
     "format_table",
     "sparkline",
-    "UtilizationSampler",
     "bandwidth_series_mbps",
     "normalized_series",
 ]

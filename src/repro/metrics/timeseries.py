@@ -1,72 +1,17 @@
-"""Time-series sampling helpers for Figure 4 / 8 / 9 style traces.
+"""Time-series helpers for Figure 4 / 8 / 9 style traces.
 
-:class:`UtilizationSampler` is deprecated: it survives as a thin wrapper
-over the flight recorder
-(:class:`~repro.telemetry.recorder.TimeSeriesRecorder`), which samples
-the same utilization bins through
-:func:`repro.cluster.recording.utilization_source` — plus everything
-else — with bounded memory and idempotent start/stop.  The wrapper also
-fixes the old double-schedule bug: ``stop()`` used to leave its queued
-sampling callback alive, so ``start()`` before that callback fired
-stacked a second sampling chain on top of the first.
+Utilization sampling lives in the flight recorder
+(:class:`~repro.telemetry.recorder.TimeSeriesRecorder` with
+:func:`repro.cluster.recording.utilization_source`); these helpers turn
+recorded trace channels into plottable series.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import List, Sequence, Tuple
 
-from repro.cpu.package import ClockDomain
-from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceRecorder
 from repro.sim.units import MS
-
-
-class UtilizationSampler:
-    """Deprecated: use a :class:`~repro.telemetry.recorder.TimeSeriesRecorder`
-    (see :func:`repro.cluster.recording.build_server_recorder`).
-
-    Periodically samples mean core utilization into a trace channel.
-    Pure instrumentation: sampling costs no simulated CPU time.  Kept as
-    a compatibility shim over the recorder; bins are bit-identical with
-    the original implementation.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        package: ClockDomain,
-        trace: TraceRecorder,
-        bin_ns: int = 1 * MS,
-        channel: str = "cpu.util",
-    ):
-        warnings.warn(
-            "UtilizationSampler is deprecated; use TimeSeriesRecorder "
-            "(repro.cluster.recording.build_server_recorder) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.cluster.recording import utilization_source
-        from repro.telemetry.recorder import TimeSeriesRecorder
-
-        self.bin_ns = bin_ns
-        self._package = package
-        self._source_state = utilization_source(package, bin_ns)
-        self._recorder = TimeSeriesRecorder(sim, interval_ns=bin_ns)
-        self._recorder.add_source(
-            "cpu.util",
-            self._source_state,
-            tap=trace.event_channel(channel).record,
-        )
-
-    def start(self) -> None:
-        """Idempotent; re-snapshots the busy baseline like the original."""
-        if not self._recorder.running:
-            self._source_state.reset()
-        self._recorder.start()
-
-    def stop(self) -> None:
-        self._recorder.stop()
 
 
 def bandwidth_series_mbps(

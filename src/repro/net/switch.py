@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.net.link import Link, LinkPort
+from repro.net.link import Link, LinkPort, NetDevice
 from repro.net.packet import Frame
 from repro.sim.kernel import Simulator
-from repro.sim.units import US
+from repro.sim.units import US, gbps
 
 
 class Switch:
@@ -28,12 +28,22 @@ class Switch:
         self.frames_forwarded = 0
         self.frames_dropped = 0
 
-    def attach_link(self, link: Link, peer_name: str) -> None:
-        """Register ``link`` as the route to destination ``peer_name``.
+    def connect(
+        self,
+        device: NetDevice,
+        bandwidth_bps: float = gbps(10),
+        latency_ns: int = 1 * US,
+    ) -> Link:
+        """Join ``device`` to this switch over a new full-duplex link.
 
-        Call after ``link.attach(switch, peer_device)``.
+        The device gets its transmit port (``device.attach_port``) and
+        frames addressed to ``device.name`` are routed down the link.
         """
-        self._ports[peer_name] = link.endpoint_port(self)
+        link = Link(self._sim, bandwidth_bps, latency_ns)
+        link.attach(device, self)
+        device.attach_port(link.endpoint_port(device))
+        self._ports[device.name] = link.endpoint_port(self)
+        return link
 
     def receive_frame(self, frame: Frame) -> None:
         """Book ``frame`` on its output port one forwarding latency from now.

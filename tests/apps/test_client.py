@@ -8,9 +8,12 @@ from repro.apps.client import (
     OpenLoopClient,
     http_request_factory,
     memcached_request_factory,
+    request_factory,
+    reset_request_ids,
 )
 from repro.net import make_response
 from repro.sim import Simulator
+from repro.sim.rng import RngRegistry
 from repro.sim.units import MS, US
 
 
@@ -153,6 +156,31 @@ class TestFactories:
         frames = [factory(0) for _ in range(10)]
         assert all(f.payload_prefix.startswith(b"get ") for f in frames)
         assert len({f.req_id for f in frames}) == 10
+
+    @staticmethod
+    def _frames(factory, n=5):
+        reset_request_ids()
+        return [
+            (f.src, f.dst, f.kind, f.payload_bytes, f.payload_prefix,
+             f.req_id, f.created_ns)
+            for f in (factory(t) for t in range(n))
+        ]
+
+    def test_request_factory_apache_is_http_factory(self):
+        expected = self._frames(http_request_factory("c", "s"))
+        got = self._frames(request_factory("apache", "c", "s", RngRegistry(7)))
+        assert got == expected
+
+    def test_request_factory_memcached_draws_client_key_stream(self):
+        expected = self._frames(
+            memcached_request_factory(
+                "c", "s", rng=RngRegistry(7).stream("c.keys")
+            )
+        )
+        rng = RngRegistry(7)
+        got = self._frames(request_factory("memcached", "c", "s", rng))
+        assert got == expected
+        assert rng.names() == ["c.keys"]
 
     def test_req_ids_globally_unique(self):
         a = http_request_factory("a", "s")(0)

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.cluster.datacenter import (
-    DatacenterCluster,
-    DatacenterConfig,
-    run_datacenter,
-)
+from repro.cluster.datacenter import DatacenterConfig, run_datacenter
+from repro.cluster.sharding import ShardedDatacenterRun
 from repro.sim.units import MS
 
 
@@ -27,6 +24,13 @@ def tiny_config(**overrides):
     return DatacenterConfig(**defaults)
 
 
+def built_fleet(config):
+    """The serial coordinator and its single in-process shard."""
+    run = ShardedDatacenterRun(config, jobs=1)
+    (shard,) = run.inline_shards()
+    return run, shard
+
+
 class TestValidation:
     def test_share_count_must_match_servers(self):
         with pytest.raises(ValueError):
@@ -36,18 +40,36 @@ class TestValidation:
         with pytest.raises(ValueError):
             tiny_config(load_shares=(1.0, 0.0))
 
+    def test_unknown_app_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="app"):
+            tiny_config(app="nginx")
+
+    @pytest.mark.parametrize("measure_ns", [0, -1])
+    def test_empty_measure_window_rejected(self, measure_ns):
+        with pytest.raises(ValueError, match="measure_ns"):
+            tiny_config(measure_ns=measure_ns)
+
+    @pytest.mark.parametrize("field", ["warmup_ns", "drain_ns"])
+    def test_negative_warmup_or_drain_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            tiny_config(**{field: -1})
+
+    def test_zero_warmup_and_drain_allowed(self):
+        config = tiny_config(warmup_ns=0, drain_ns=0)
+        assert config.end_ns == config.measure_ns
+
 
 class TestTopology:
     def test_all_nodes_routable(self):
-        cluster = DatacenterCluster(tiny_config())
+        _, shard = built_fleet(tiny_config())
         expected = {"server0", "server1", "client0_0", "client0_1",
                     "client1_0", "client1_1"}
-        assert set(cluster.switch.known_destinations) == expected
+        assert set(shard.switch.known_destinations) == expected
 
     def test_load_split_by_share(self):
-        cluster = DatacenterCluster(tiny_config())
-        p0 = cluster.clients["server0"][0].burst_period_ns
-        p1 = cluster.clients["server1"][0].burst_period_ns
+        _, shard = built_fleet(tiny_config())
+        p0 = shard.clients["server0"][0].burst_period_ns
+        p1 = shard.clients["server1"][0].burst_period_ns
         # 70/30 split: server1's clients burst ~2.33x less often.
         assert p1 / p0 == pytest.approx(7 / 3, rel=0.01)
 
@@ -66,11 +88,11 @@ class TestRun:
 
     def test_servers_isolated(self):
         # Traffic for one server never shows up at the other.
-        cluster = DatacenterCluster(tiny_config())
-        cluster.run()
-        s0, s1 = cluster.servers
-        sent0 = sum(c.requests_sent for c in cluster.clients["server0"])
-        sent1 = sum(c.requests_sent for c in cluster.clients["server1"])
+        run, shard = built_fleet(tiny_config())
+        run.execute()
+        s0, s1 = shard.servers
+        sent0 = sum(c.requests_sent for c in shard.clients["server0"])
+        sent1 = sum(c.requests_sent for c in shard.clients["server1"])
         assert abs(s0.app.requests_received - sent0) < 30
         assert abs(s1.app.requests_received - sent1) < 30
 

@@ -5,8 +5,11 @@ import pytest
 from repro.apps.apache import ApacheApp
 from repro.apps.memcached import MemcachedApp
 from repro.cluster.node import ServerNode
+from repro.cpu import Job
+from repro.metrics.energy import energy_delta
 from repro.oskernel.cpufreq import OndemandGovernor, PerformanceGovernor
 from repro.sim import RngRegistry, Simulator, TraceRecorder
+from repro.sim.units import MS
 
 
 def make_node(policy="perf", app="apache", trace=None):
@@ -92,3 +95,65 @@ class TestWiring:
             nic_dma_latency_ns=50_000,
         )
         assert node.nic.dma_latency_ns == 50_000
+
+
+class TestMeasurement:
+    def test_ncap_stats_and_cstate_entries(self):
+        sim, perf = make_node("perf")
+        assert perf.ncap_stats() == {}
+        sim, node = make_node("ncap.cons")
+        assert set(node.ncap_stats()) == {
+            "it_high_posts", "it_low_posts", "immediate_rx_posts",
+        }
+        node.package.cores[0].cstate_entries["C6"] = 2
+        node.package.cores[3].cstate_entries["C6"] = 1
+        assert node.cstate_entries()["C6"] == 3
+
+
+class TestWindowMeter:
+    def _measured(self, policy="perf", energy_attribution=False):
+        """Mark a window [1 ms, 3 ms) with core 0 busy for 1 ms of it;
+        also take plain package reports at the same two edges."""
+        sim, node = make_node(policy)
+        meter = node.window_meter(energy_attribution)
+        reports = []
+
+        def edge():
+            meter.mark()
+            reports.append(node.package.energy_report())
+
+        node.start()
+        sim.schedule_at(MS, edge)
+        sim.schedule_at(
+            int(1.5 * MS),
+            lambda: node.package.cores[0].dispatch(
+                Job(node.package.max_frequency_hz * 1e-3)
+            ),
+        )
+        sim.schedule_at(3 * MS, edge)
+        sim.run(until=4 * MS)
+        return node, meter, reports
+
+    def test_energy_is_delta_of_its_edges(self):
+        _, meter, (start, end) = self._measured()
+        assert meter.energy() == energy_delta(start, end)
+        assert meter.energy().energy_j > 0
+
+    def test_utilization_over_the_window(self):
+        node, meter, _ = self._measured()
+        n_cores = len(node.package.cores)
+        # 1 ms busy on one core of a 2 ms window.
+        assert meter.utilization(2 * MS) == pytest.approx(0.5 / n_cores)
+
+    def test_energy_attribution_none_without_accounting(self):
+        _, meter, _ = self._measured()
+        assert meter.accounting is None
+        assert meter.energy_attribution() is None
+
+    def test_energy_attribution_telescopes_to_window_energy(self):
+        _, meter, _ = self._measured("ond.idle", energy_attribution=True)
+        attribution = meter.energy_attribution()
+        assert attribution.total_j == pytest.approx(meter.energy().energy_j)
+        assert attribution.components_sum_j == pytest.approx(
+            attribution.total_j, abs=1e-6
+        )

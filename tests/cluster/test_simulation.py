@@ -20,6 +20,26 @@ def quick_config(**overrides):
     return ExperimentConfig(**defaults)
 
 
+class TestValidation:
+    def test_unknown_app_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="app"):
+            quick_config(app="nginx")
+
+    @pytest.mark.parametrize("measure_ns", [0, -1])
+    def test_empty_measure_window_rejected(self, measure_ns):
+        with pytest.raises(ValueError, match="measure_ns"):
+            quick_config(measure_ns=measure_ns)
+
+    @pytest.mark.parametrize("field", ["warmup_ns", "drain_ns"])
+    def test_negative_warmup_or_drain_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            quick_config(**{field: -1})
+
+    def test_zero_warmup_and_drain_allowed(self):
+        config = quick_config(warmup_ns=0, drain_ns=0)
+        assert config.end_ns == config.measure_ns
+
+
 class TestClusterBuild:
     def test_star_topology(self):
         cluster = Cluster(quick_config())

@@ -2,20 +2,29 @@
 
 import pytest
 
+from repro.cluster.recording import utilization_source
 from repro.cpu import Job, ProcessorConfig
-from repro.metrics import UtilizationSampler, bandwidth_series_mbps, normalized_series
+from repro.metrics import bandwidth_series_mbps, normalized_series
 from repro.sim import Simulator, TraceRecorder
 from repro.sim.units import MS
+from repro.telemetry.recorder import TimeSeriesRecorder
 
 
 def _sampler(sim, package, trace, bin_ns=MS, channel="cpu.util"):
-    with pytest.warns(DeprecationWarning, match="TimeSeriesRecorder"):
-        return UtilizationSampler(sim, package, trace, bin_ns=bin_ns, channel=channel)
+    """The utilization sampling ``collect_traces`` runs: a recorder whose
+    utilization source taps every raw sample into a trace channel."""
+    recorder = TimeSeriesRecorder(sim, interval_ns=bin_ns)
+    recorder.add_source(
+        "cpu.util",
+        utilization_source(package, bin_ns),
+        tap=trace.event_channel(channel).record,
+    )
+    return recorder
 
 
 class _ReferenceSampler:
-    """The original (pre-recorder) UtilizationSampler, verbatim, as the
-    parity oracle for the deprecated wrapper."""
+    """The original (pre-recorder) utilization sampler, verbatim, as the
+    parity oracle for the recorder's utilization source."""
 
     def __init__(self, sim, package, trace, bin_ns=1 * MS, channel="cpu.util"):
         self._sim = sim
@@ -44,34 +53,6 @@ class _ReferenceSampler:
 
 
 class TestUtilizationSampler:
-    def test_construction_warns_deprecated(self):
-        sim = Simulator()
-        package = ProcessorConfig(n_cores=1).build_package(sim)
-        with pytest.warns(DeprecationWarning, match="build_server_recorder"):
-            UtilizationSampler(sim, package, TraceRecorder(), bin_ns=MS)
-
-    def test_deprecation_contract_pinned(self):
-        # Pin the shim's full warning contract: exact category (a plain
-        # UserWarning would slip through `-W error::DeprecationWarning`
-        # gates), a message naming both the replacement class and the
-        # factory to migrate to, and stacklevel=2 so the warning points
-        # at the caller's line, not the shim's.
-        import warnings
-
-        sim = Simulator()
-        package = ProcessorConfig(n_cores=1).build_package(sim)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            UtilizationSampler(sim, package, TraceRecorder(), bin_ns=MS)
-        assert len(caught) == 1
-        warning = caught[0]
-        assert warning.category is DeprecationWarning
-        message = str(warning.message)
-        assert "UtilizationSampler is deprecated" in message
-        assert "TimeSeriesRecorder" in message
-        assert "repro.cluster.recording.build_server_recorder" in message
-        assert warning.filename == __file__
-
     def test_samples_busy_fraction(self):
         sim = Simulator()
         package = ProcessorConfig(n_cores=2).build_package(sim)
@@ -107,9 +88,9 @@ class TestUtilizationSampler:
         assert len(trace.event_channel("cpu.util")) == 1
 
     def test_restart_after_stop_does_not_double_schedule(self):
-        # Regression: the original left its queued callback alive across
-        # stop(), so stop() + start() before the callback fired stacked a
-        # second sampling chain and produced duplicate bins forever.
+        # Regression: the original sampler left its queued callback alive
+        # across stop(), so stop() + start() before the callback fired
+        # stacked a second sampling chain and produced duplicate bins.
         sim = Simulator()
         package = ProcessorConfig(n_cores=1).build_package(sim)
         trace = TraceRecorder()
@@ -124,14 +105,14 @@ class TestUtilizationSampler:
         assert times == [MS, int(2.5 * MS), int(3.5 * MS), int(4.5 * MS)]
 
     def test_parity_with_original_implementation(self):
-        # Wrapper (channel A) and the verbatim original math (channel B)
-        # driven by the same simulation must bin identically.
+        # The recorder (channel A) and the verbatim original math
+        # (channel B) driven by the same simulation must bin identically.
         sim = Simulator()
         package = ProcessorConfig(n_cores=2).build_package(sim)
         trace = TraceRecorder()
-        wrapper = _sampler(sim, package, trace, bin_ns=MS, channel="a.util")
+        recorder = _sampler(sim, package, trace, bin_ns=MS, channel="a.util")
         reference = _ReferenceSampler(sim, package, trace, bin_ns=MS, channel="b.util")
-        wrapper.start()
+        recorder.start()
         reference.start()
         # Staggered work so bins land at varied fractions.
         for i, us in enumerate((200, 750, 0, 1000, 333)):

@@ -12,6 +12,10 @@ class Sink:
         self.name = name
         self.sim = sim
         self.received = []
+        self.port = None
+
+    def attach_port(self, port):
+        self.port = port
 
     def receive_frame(self, frame):
         self.received.append((self.sim.now if self.sim else None, frame))
@@ -128,16 +132,14 @@ class TestLink:
 
 
 def make_switched(*names):
-    """A switch with one ``Sink`` per name, each on its own link."""
+    """A switch with one ``Sink`` per name, each joined by ``connect``."""
     sim = Simulator()
     switch = Switch(sim)
     sinks, ports = {}, {}
     for name in names:
         sink = Sink(name, sim)
-        link = Link(sim)
-        link.attach(sink, switch)
-        switch.attach_link(link, name)
-        sinks[name], ports[name] = sink, link.endpoint_port(sink)
+        switch.connect(sink)
+        sinks[name], ports[name] = sink, sink.port
     return sim, switch, sinks, ports
 
 
@@ -181,21 +183,26 @@ class TestSwitchIntegration:
         assert (switch.frames_forwarded, switch.frames_dropped) == (3, 1)
 
     def test_unknown_destination_dropped(self):
-        sim = Simulator()
-        switch = Switch(sim)
-        client = Sink("client", sim)
-        l1 = Link(sim)
-        l1.attach(client, switch)
-        switch.attach_link(l1, "client")
-        l1.endpoint_port(client).send(Frame("client", "nowhere", payload_bytes=100))
+        sim, switch, sinks, ports = make_switched("client")
+        ports["client"].send(Frame("client", "nowhere", payload_bytes=100))
         sim.run()
         assert switch.frames_dropped == 1
 
     def test_known_destinations(self):
+        sim, switch, sinks, ports = make_switched("client")
+        assert switch.known_destinations == ["client"]
+
+    def test_connect_routes_device_name_over_its_link(self):
         sim = Simulator()
         switch = Switch(sim)
-        client = Sink("client", sim)
-        l1 = Link(sim)
-        l1.attach(client, switch)
-        switch.attach_link(l1, "client")
-        assert switch.known_destinations == ["client"]
+        client, server = Sink("client", sim), Sink("server", sim)
+        switch.connect(client)
+        link = switch.connect(server, bandwidth_bps=gbps(1), latency_ns=2 * US)
+        assert switch.known_destinations == ["client", "server"]
+        assert client.port.peer is switch
+        client.port.send(Frame("client", "server", payload_bytes=1250 - 66))
+        sim.run()
+        # 1 us + 1 us into the switch, 1 us forward, then 10 us + 2 us on
+        # the server's 1 Gb/s, 2 us link.
+        assert [t for t, _ in server.received] == [15 * US]
+        assert isinstance(link, Link) and server.port.peer is switch

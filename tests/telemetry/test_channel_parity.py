@@ -10,12 +10,11 @@ nodes sharing one recorder.
 
 from repro.apps.client import OpenLoopClient, http_request_factory
 from repro.cluster.node import ServerNode
-from repro.net.link import Link
 from repro.net.switch import Switch
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
-from repro.sim.units import MS, US, gbps
+from repro.sim.units import MS
 from repro.telemetry import ChannelSink, Telemetry
 
 RUN_NS = 30 * MS
@@ -42,20 +41,14 @@ def run_two_server_cluster(legacy: bool) -> TraceRecorder:
             telemetry.add_sink(ChannelSink(recorder))
             server = ServerNode(sim, name, "ond.idle", "apache", rng,
                                 telemetry=telemetry)
-        link = Link(sim, gbps(10), 1 * US)
-        link.attach(server, switch)
-        server.attach_port(link.endpoint_port(server))
-        switch.attach_link(link, name)
+        switch.connect(server)
 
         client = OpenLoopClient(
             sim, f"client{i}", http_request_factory(f"client{i}", name),
             burst_size=50, burst_period_ns=10 * MS,
             jitter_rng=rng.stream(f"client{i}.jitter"), jitter_fraction=0.3,
         )
-        client_link = Link(sim, gbps(10), 1 * US)
-        client_link.attach(client, switch)
-        client.attach_port(client_link.endpoint_port(client))
-        switch.attach_link(client_link, client.name)
+        switch.connect(client)
         client.start()
 
     sim.run(until=RUN_NS)
