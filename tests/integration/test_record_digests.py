@@ -12,15 +12,24 @@ import hashlib
 
 import pytest
 
+from repro.analysis.attribution import AttributionSink
 from repro.apps.patterns import SpikePattern
 from repro.apps.workload import load_level
 from repro.cluster.datacenter import DatacenterConfig
 from repro.cluster.sharding import ShardedDatacenterRun
+from repro.cluster.simulation import Cluster
 from repro.experiments.datacenter import PRESETS
 from repro.experiments.dynamics import run_pattern
 from repro.experiments.percore import run_percore
 from repro.experiments.related_work import run_adrenaline
-from repro.harness import RunSettings, SweepSpec, canonical_json, execute_spec
+from repro.harness import (
+    ResultRecord,
+    RunSettings,
+    SweepSpec,
+    canonical_json,
+    config_hash,
+    execute_spec,
+)
 from repro.sim.units import MS
 
 GOLDEN = {
@@ -28,6 +37,10 @@ GOLDEN = {
         "8dbf8ef0108bac94e69f35d5b33144f621a2ff6062383591605f814db665b962",
     "memcached/ond.idle/medium":
         "2862a9de9a89a2a5dc9e1fc9c6bd5192e4a0428f376550c7234a746a2ab1cbc3",
+    "observed/apache/ncap.cons/low":
+        "834ec5d243ccdcd0c38b2bcbb51203248dee94910d9015f7d69f14f10cc37069",
+    "observed/memcached/ond.idle/low":
+        "64348087bb1460e6b18ae88517af60dcae95e8eb50dce8224499a75e47f391b6",
     "frontend/4x2":
         "d6c2d66d9c4a2faef0d1838487ddc8faaa2972dbf5fd758ec16f2b9450c8ed0c",
     "classic/memcached/4x2":
@@ -62,6 +75,25 @@ def test_single_node_record_digest(app, policy, load):
         settings=RunSettings.quick(),
     ).expand()
     assert sha(execute_spec(spec).to_json_dict()) == GOLDEN[f"{app}/{policy}/{load}"]
+
+
+@pytest.mark.parametrize(
+    "app,policy,load",
+    [("apache", "ncap.cons", "low"), ("memcached", "ond.idle", "low")],
+)
+def test_observed_node_record_digest(app, policy, load):
+    """Every observer on: attribution, audit, energy and the recorder."""
+    (spec,) = SweepSpec(
+        apps=(app,), policies=(policy,), loads=(load,),
+        settings=RunSettings.quick(),
+    ).expand()
+    config = spec.to_config()
+    result = Cluster(
+        config, sinks=[AttributionSink()], audit=True,
+        energy_attribution=True, record_timeseries="coarse",
+    ).run()
+    record = ResultRecord.from_result(result, config_hash(config), config.seed)
+    assert sha(record.to_json_dict()) == GOLDEN[f"observed/{app}/{policy}/{load}"]
 
 
 def test_frontend_fleet_record_digest():
