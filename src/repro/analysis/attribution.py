@@ -23,7 +23,8 @@ io         off-CPU I/O phase (Apache disk; zero for Memcached)
 tx         reply → client receipt (kernel tx already billed in service)
 ========== =============================================================
 
-Aggregation is O(1)-memory: per-component :class:`StreamingSketch`\\ es
+Aggregation is O(1)-memory: exact per-component running sums for the
+means, one :class:`StreamingSketch` of the RTT for the tail thresholds,
 plus a bounded top-K heap of the slowest requests, from which tail
 (p95/p99) blame tables are computed.  Per-request records are retained
 only on request (``keep_records=True``, for tests and deep dives).
@@ -152,6 +153,8 @@ class AttributionSink:
 
     #: Prune per-core event timelines every this many finalized requests.
     PRUNE_EVERY = 256
+    #: Conservation-violation messages kept (every violation is counted).
+    MAX_VIOLATION_MESSAGES = 25
 
     def __init__(
         self,
@@ -171,12 +174,12 @@ class AttributionSink:
         self.unmatched_rtts = 0
         self.records: List[RequestAttribution] = []
         self.conservation_violations: List[str] = []
+        self.violation_count = 0
         self.total_sketch = StreamingSketch()
-        self.component_sketches: Dict[str, StreamingSketch] = {
-            name: StreamingSketch() for name in COMPONENTS
-        }
+        #: Exact running sums behind the per-component means.
+        self._component_sums: Dict[str, float] = dict.fromkeys(COMPONENTS, 0.0)
 
-        self._spans: Dict[str, _OpenSpan] = {}
+        self._spans: Dict[Tuple[str, Optional[int]], _OpenSpan] = {}
         self._done: Dict[Tuple[str, int], _ServerRecord] = {}
         self._waking: Dict[int, List[Tuple[int, int]]] = {}  # closed intervals
         self._irqs: Dict[int, List[int]] = {}                # nic hardirq times
@@ -207,10 +210,11 @@ class AttributionSink:
 
     def _on_span(self, event: RequestPhase) -> None:
         phase = event.phase
+        key = (event.src, event.req_id)
         if phase == "arrival":
-            self._spans[event.span_id] = _OpenSpan(event.t_ns)
+            self._spans[key] = _OpenSpan(event.t_ns)
             return
-        span = self._spans.get(event.span_id)
+        span = self._spans.get(key)
         if span is None:
             return
         if phase == "dma":
@@ -220,10 +224,10 @@ class AttributionSink:
             if event.core is not None:
                 span.rx_core = event.core
         elif phase == "dropped":
-            del self._spans[event.span_id]
+            del self._spans[key]
 
     def _on_account(self, event: RequestAccounting) -> None:
-        span = self._spans.pop(event.span_id, None)
+        span = self._spans.pop((event.src, event.req_id), None)
         if span is None or span.dma_ns is None or span.delivered_ns is None:
             return
         if self.f_max_hz is None:
@@ -297,13 +301,13 @@ class AttributionSink:
         total = rtt_ns
 
         delta = total - sum(comp.values())
-        if abs(delta) > self.conservation_tol_ns and (
-            len(self.conservation_violations) < 25
-        ):
-            self.conservation_violations.append(
-                f"{src}/{req_id}: components sum to {total - delta:.3f} ns "
-                f"but measured RTT is {total} ns (delta {delta:+.3f})"
-            )
+        if abs(delta) > self.conservation_tol_ns:
+            self.violation_count += 1
+            if len(self.conservation_violations) < self.MAX_VIOLATION_MESSAGES:
+                self.conservation_violations.append(
+                    f"{src}/{req_id}: components sum to {total - delta:.3f} ns "
+                    f"but measured RTT is {total} ns (delta {delta:+.3f})"
+                )
 
         record = RequestAttribution(
             src=src, req_id=req_id, send_ns=send_ns,
@@ -311,8 +315,9 @@ class AttributionSink:
         )
         self.count += 1
         self.total_sketch.add(total)
-        for name in COMPONENTS:
-            self.component_sketches[name].add(comp[name])
+        sums = self._component_sums
+        for name, value in comp.items():
+            sums[name] += value
         if self.keep_records:
             self.records.append(record)
         self._seq += 1
@@ -395,7 +400,7 @@ class AttributionSink:
                 component_mean_ns={}, tails={}, unmatched=self.unmatched_rtts,
             )
         component_mean = {
-            name: sketch.mean for name, sketch in self.component_sketches.items()
+            name: total / self.count for name, total in self._component_sums.items()
         }
         tails: Dict[str, TailAttribution] = {}
         for p in percentiles:

@@ -42,14 +42,20 @@ _REL_TOL = 1e-9
 
 
 class AuditError(AssertionError):
-    """The telemetry stream or the simulation accounting is inconsistent."""
+    """The telemetry stream or the simulation accounting is inconsistent.
 
-    def __init__(self, violations: List[str]):
+    ``violations`` holds the kept messages; ``total`` counts every
+    violation, including those past the auditor's message cap.
+    """
+
+    def __init__(self, violations: List[str], total: Optional[int] = None):
         self.violations = violations
+        self.total = len(violations) if total is None else total
+        kept = f" ({len(violations)} kept)" if self.total > len(violations) else ""
         preview = "\n  - ".join(violations[:10])
         more = f"\n  (+{len(violations) - 10} more)" if len(violations) > 10 else ""
         super().__init__(
-            f"{len(violations)} invariant violation(s):\n  - {preview}{more}"
+            f"{self.total} invariant violation(s){kept}:\n  - {preview}{more}"
         )
 
 
@@ -59,8 +65,10 @@ class InvariantAuditor:
     def __init__(self, max_violations: int = 100):
         self.max_violations = max_violations
         self.violations: List[str] = []
+        self.violation_count = 0
         self.spans_checked = 0
-        self._open: Dict[str, Tuple[int, int]] = {}      # span -> (order, t)
+        #: (src, req_id) -> (order, t) of each open span
+        self._open: Dict[Tuple[str, Optional[int]], Tuple[int, int]] = {}
         self._asleep: Dict[Tuple[str, int], str] = {}    # (domain, core) -> state
 
     def attach(self, telemetry) -> None:
@@ -69,49 +77,50 @@ class InvariantAuditor:
         bus.subscribe("cpu.cstate", self._on_cstate)
 
     def _note(self, message: str) -> None:
+        self.violation_count += 1
         if len(self.violations) < self.max_violations:
             self.violations.append(message)
 
     # -- streaming checks --------------------------------------------------
 
     def _on_span(self, event: RequestPhase) -> None:
-        span_id = event.span_id
-        prev = self._open.get(span_id)
+        key = (event.src, event.req_id)
+        prev = self._open.get(key)
         if event.phase == "dropped":
             if prev is None:
-                self._note(f"{span_id}: dropped without arrival")
+                self._note(f"{event.span_id}: dropped without arrival")
             elif prev[0] > PHASE_ORDER["dma"]:
-                self._note(f"{span_id}: dropped after delivery")
-            self._open.pop(span_id, None)
+                self._note(f"{event.span_id}: dropped after delivery")
+            self._open.pop(key, None)
             return
         order = PHASE_ORDER.get(event.phase)
         if order is None:
-            self._note(f"{span_id}: unknown phase {event.phase!r}")
+            self._note(f"{event.span_id}: unknown phase {event.phase!r}")
             return
         if order == 0:
             if prev is not None:
-                self._note(f"{span_id}: duplicate arrival")
-            self._open[span_id] = (0, event.t_ns)
+                self._note(f"{event.span_id}: duplicate arrival")
+            self._open[key] = (0, event.t_ns)
             return
         if prev is None:
-            self._note(f"{span_id}: {event.phase} without arrival")
-            self._open[span_id] = (order, event.t_ns)
+            self._note(f"{event.span_id}: {event.phase} without arrival")
+            self._open[key] = (order, event.t_ns)
             return
         if order <= prev[0]:
             self._note(
-                f"{span_id}: phase {event.phase} out of order "
+                f"{event.span_id}: phase {event.phase} out of order "
                 f"(already past order {prev[0]})"
             )
         if event.t_ns < prev[1]:
             self._note(
-                f"{span_id}: time went backwards at {event.phase} "
+                f"{event.span_id}: time went backwards at {event.phase} "
                 f"({event.t_ns} < {prev[1]})"
             )
         if event.phase == "reply":
             self.spans_checked += 1
-            del self._open[span_id]
+            del self._open[key]
         else:
-            self._open[span_id] = (order, event.t_ns)
+            self._open[key] = (order, event.t_ns)
 
     def _on_cstate(self, event: CStateTransition) -> None:
         key = (event.domain, event.core_id)
@@ -181,9 +190,13 @@ class InvariantAuditor:
             )
 
     def check_attribution(self, sink) -> None:
-        """Adopt conservation violations recorded by an AttributionSink."""
+        """Adopt conservation violations recorded by an AttributionSink,
+        counting those past the sink's own message cap too."""
         for message in sink.conservation_violations:
             self._note(f"attribution: {message}")
+        self.violation_count += max(
+            0, sink.violation_count - len(sink.conservation_violations)
+        )
 
     def check_energy_attribution(self, attribution) -> None:
         """Energy decomposition conservation: the telescoping components
@@ -216,5 +229,5 @@ class InvariantAuditor:
             self.check_attribution(attribution)
         if energy_attribution is not None:
             self.check_energy_attribution(energy_attribution)
-        if self.violations:
-            raise AuditError(list(self.violations))
+        if self.violation_count:
+            raise AuditError(list(self.violations), self.violation_count)

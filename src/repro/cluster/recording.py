@@ -69,12 +69,24 @@ def power_source(package, interval_ns: int):
     """Mean package power (W) over each elapsed interval.
 
     Differencing the cumulative energy account gives the exact mean over
-    the interval — no assumption that power was constant within it.
+    the interval — no assumption that power was constant within it.  The
+    total is summed in core order from synced meters: the same float
+    :meth:`~repro.cpu.energy.EnergyReport.merge` builds, without
+    materializing a report per tick.
     """
-    state = {"energy_j": package.energy_report().energy_j}
+    meters = [core.meter for core in package.cores]
+
+    def package_energy_j() -> float:
+        energy_j = 0.0
+        for meter in meters:
+            meter.sync()
+            energy_j += meter.energy_j
+        return energy_j
+
+    state = {"energy_j": package_energy_j()}
 
     def sample() -> float:
-        energy_j = package.energy_report().energy_j
+        energy_j = package_energy_j()
         delta = energy_j - state["energy_j"]
         state["energy_j"] = energy_j
         return delta * 1e9 / interval_ns

@@ -15,6 +15,9 @@ from typing import Dict, Optional
 from repro.cpu.power import PowerMode, PowerModel
 from repro.sim.kernel import Simulator
 
+#: Residency/energy key of each mode (its ``value``), looked up per segment.
+_MODE_KEY: Dict[PowerMode, str] = {mode: mode.value for mode in PowerMode}
+
 
 @dataclass
 class EnergyReport:
@@ -83,7 +86,7 @@ class PowerMeter:
         if dt_ns > 0:
             joules = self._power_w * dt_ns * 1e-9
             self.energy_j += joules
-            key = self._mode.value
+            key = _MODE_KEY[self._mode]
             self.residency_ns[key] = self.residency_ns.get(key, 0) + dt_ns
             self.energy_by_mode_j[key] = self.energy_by_mode_j.get(key, 0.0) + joules
         self._segment_start = now

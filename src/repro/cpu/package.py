@@ -52,7 +52,7 @@ class ClockDomain:
         self.cstates = cstates
         self.power_model = power_model
         self.dvfs_timing = dvfs_timing or DVFSTimingModel()
-        self._index = pstates.clamp_index(initial_pstate)
+        self._set_operating_point(pstates.clamp_index(initial_pstate))
         self.telemetry = ensure_telemetry(telemetry, trace)
         self._pstate_probe = self.telemetry.probe("cpu.pstate")
         self._transitions = self.telemetry.counter("cpu.pstate.transitions")
@@ -86,13 +86,13 @@ class ClockDomain:
     def pstate_index(self) -> int:
         return self._index
 
-    @property
-    def frequency_hz(self) -> float:
-        return self.pstates[self._index].freq_hz
-
-    @property
-    def voltage(self) -> float:
-        return self.pstates[self._index].voltage
+    def _set_operating_point(self, index: int) -> None:
+        """Enter P-state ``index``; ``frequency_hz`` and ``voltage`` are
+        plain attributes read on every core transition."""
+        self._index = index
+        pstate = self.pstates[index]
+        self.frequency_hz: float = pstate.freq_hz
+        self.voltage: float = pstate.voltage
 
     @property
     def max_frequency_hz(self) -> float:
@@ -155,7 +155,7 @@ class ClockDomain:
 
     def _finish_switch(self, index: int) -> None:
         old_freq = self.frequency_hz
-        self._index = index
+        self._set_operating_point(index)
         self._transition_target = None
         self._transitions.inc()
         for core in self.cores:

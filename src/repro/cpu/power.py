@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from repro.sim.units import ghz
 
@@ -78,6 +79,9 @@ class PowerModel:
         if dv <= 0:
             raise ValueError("v_high must exceed v_low")
         self._static_slope = (c.static_w_at_v_high - c.static_w_at_v_low) / dv
+        #: ``core_power_w`` results.  Callers pass P-state operating
+        #: points, so this holds at most modes x P-states entries.
+        self._core_power: Dict[Tuple[PowerMode, float, float], float] = {}
 
     def dynamic_power_w(self, voltage: float, freq_hz: float, activity: float = 1.0) -> float:
         """Switching power: ``k · V² · f · activity``."""
@@ -92,6 +96,15 @@ class PowerModel:
 
     def core_power_w(self, mode: PowerMode, voltage: float, freq_hz: float) -> float:
         """Instantaneous power of one core in ``mode`` at (V, f)."""
+        key = (mode, voltage, freq_hz)
+        power = self._core_power.get(key)
+        if power is None:
+            power = self._core_power[key] = self._compute_core_power_w(*key)
+        return power
+
+    def _compute_core_power_w(
+        self, mode: PowerMode, voltage: float, freq_hz: float
+    ) -> float:
         c = self.config
         if mode is PowerMode.RUN:
             return self.dynamic_power_w(voltage, freq_hz) + self.static_power_w(voltage)

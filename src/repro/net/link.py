@@ -50,10 +50,11 @@ class _Direction:
     def send_at(self, t: int, frame: Frame) -> None:
         """Offer ``frame`` to the wire at sim-time ``t`` (>= ``sim.now``)."""
         assert self._sink is not None, "link endpoint not attached"
+        wire_bytes = frame.wire_bytes
         start = max(t, self._tail_ns)
-        self._tail_ns = start + transmission_delay_ns(frame.wire_bytes, self._bandwidth)
+        self._tail_ns = start + transmission_delay_ns(wire_bytes, self._bandwidth)
         self.frames_carried += 1
-        self.bytes_carried += frame.wire_bytes
+        self.bytes_carried += wire_bytes
         self._sim.schedule_at(
             self._tail_ns + self._latency, self._sink.receive_frame, frame
         )
