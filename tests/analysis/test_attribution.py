@@ -135,25 +135,40 @@ class TestDecomposition:
         assert sum(comp.values()) == pytest.approx(rtt, abs=1e-6)
 
     def test_conservation_violation_is_reported(self):
-        # The decomposition telescopes, so a consistent event feed can
-        # never break conservation (that is the point); corrupt the
-        # server-side record directly to prove the check trips.
         sink = make_sink()
-        span(sink, 2_000, "arrival", req_id=2)
-        span(sink, 2_100, "dma", req_id=2)
-        span(sink, 2_500, "delivered", req_id=2, core=0)
-        sink.telemetry.probe("request.account").emit(
-            RequestAccounting(
-                t_ns=4_800, src="c0", req_id=2, core=1, resp_core=1,
-                svc_enqueue_ns=2_500, svc_start_ns=2_900, svc_done_ns=3_900,
-                resp_enqueue_ns=4_100, resp_start_ns=4_300,
-                cpu_ns=1_300, cycles=1_100.0, stall_ns=100,
-            )
-        )
-        sink._done[("c0", 2)].components["kernel"] += 5.0
-        sink.on_client_rtt("c0", 2, 1_000, 4_100)
+        feed_corrupted(sink, req_id=2)
+        assert sink.violation_count == 1
         assert len(sink.conservation_violations) == 1
         assert "c0/2" in sink.conservation_violations[0]
+
+    def test_violations_past_the_message_cap_are_counted(self):
+        sink = make_sink()
+        for req_id in range(30):
+            feed_corrupted(sink, req_id=req_id)
+        assert sink.violation_count == 30
+        assert len(sink.conservation_violations) == sink.MAX_VIOLATION_MESSAGES
+
+
+def feed_corrupted(sink, req_id):
+    """One request whose server-side record is off by 5 ns.
+
+    The decomposition telescopes, so a consistent event feed can never
+    break conservation (that is the point); corrupt the server-side
+    record directly to prove the check trips.
+    """
+    span(sink, 2_000, "arrival", req_id=req_id)
+    span(sink, 2_100, "dma", req_id=req_id)
+    span(sink, 2_500, "delivered", req_id=req_id, core=0)
+    sink.telemetry.probe("request.account").emit(
+        RequestAccounting(
+            t_ns=4_800, src="c0", req_id=req_id, core=1, resp_core=1,
+            svc_enqueue_ns=2_500, svc_start_ns=2_900, svc_done_ns=3_900,
+            resp_enqueue_ns=4_100, resp_start_ns=4_300,
+            cpu_ns=1_300, cycles=1_100.0, stall_ns=100,
+        )
+    )
+    sink._done[("c0", req_id)].components["kernel"] += 5.0
+    sink.on_client_rtt("c0", req_id, 1_000, 4_100)
 
 
 class TestBookkeeping:
@@ -225,6 +240,23 @@ class TestTails:
         assert flat["count"] == 100.0
         assert "p99.wake_ramp_share" in flat
         assert "mean.wake_ns" in flat
+
+    def test_component_means_are_exact(self):
+        sink = make_sink()
+        for i in range(300):
+            feed_request(
+                sink, req_id=i, irq_at=2_200 if i % 3 else None,
+                cycles=1_100.0 + i * 0.37, cpu_ns=1_300 + i % 7,
+                receive=5_100 + (i * 13) % 97,
+            )
+        report = sink.summary()
+        for name in COMPONENTS:
+            # Left-to-right float addition, the order the sink sums in
+            # (builtin sum() compensates on Python 3.12+).
+            total = 0.0
+            for record in sink.records:
+                total += record.components[name]
+            assert report.component_mean_ns[name] == total / sink.count
 
     def test_empty_summary(self):
         sink = make_sink()

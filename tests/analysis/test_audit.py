@@ -120,10 +120,31 @@ class TestFinish:
 
     def test_violation_cap(self):
         auditor, telemetry = make_auditor()
-        for i in range(auditor.max_violations + 50):
+        fed = auditor.max_violations + 50
+        for i in range(fed):
             emit_span(telemetry, 10, "service", req_id=i)
             emit_span(telemetry, 20, "reply", req_id=i)
         assert len(auditor.violations) == auditor.max_violations
+        assert auditor.violation_count == fed
+        with pytest.raises(AuditError) as excinfo:
+            auditor.finish()
+        assert excinfo.value.total == fed
+        assert len(excinfo.value.violations) == auditor.max_violations
+        assert str(excinfo.value).startswith(
+            f"{fed} invariant violation(s) ({auditor.max_violations} kept)"
+        )
+
+    def test_counts_attribution_violations_past_the_sink_cap(self):
+        auditor, _ = make_auditor()
+        sink = AttributionSink(f_max_hz=1e9)
+        sink.conservation_violations.extend(
+            f"c0/{i}: off by 5 ns" for i in range(sink.MAX_VIOLATION_MESSAGES)
+        )
+        sink.violation_count = 30
+        with pytest.raises(AuditError) as excinfo:
+            auditor.finish(attribution=sink)
+        assert excinfo.value.total == 30
+        assert len(excinfo.value.violations) == sink.MAX_VIOLATION_MESSAGES
 
 
 class TestClusterChecks:

@@ -102,6 +102,27 @@ class TestTransitions:
         assert not package.at_max_performance
 
 
+class TestOperatingPoint:
+    def test_frequency_and_voltage_track_the_pstate(self):
+        sim, package = make_package(initial_pstate=3)
+
+        def assert_tracks():
+            pstate = package.pstates[package.pstate_index]
+            assert package.frequency_hz == pstate.freq_hz
+            assert package.voltage == pstate.voltage
+
+        assert_tracks()
+        package.set_pstate(14)
+        assert_tracks()  # unchanged until the PLL relock completes
+        sim.run()
+        assert package.pstate_index == 14
+        assert_tracks()
+        package.set_pstate(0)
+        sim.run()
+        assert package.pstate_index == 0
+        assert_tracks()
+
+
 class TestHelpers:
     def test_set_frequency_maps_to_covering_pstate(self):
         sim, package = make_package()

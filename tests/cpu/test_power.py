@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cpu import PowerMode, PowerModel, PowerModelConfig
+from repro.cpu import PowerMode, PowerModel, PowerModelConfig, ProcessorConfig
 from repro.sim.units import ghz
 
 
@@ -113,3 +113,15 @@ class TestConfigValidation:
         model = PowerModel()
         with pytest.raises(ValueError):
             model.core_power_w("not-a-mode", 1.0, ghz(1))  # type: ignore[arg-type]
+
+
+class TestMemo:
+    def test_memoized_power_equals_fresh_model(self):
+        model = PowerModel()
+        points = [(m, p.voltage, p.freq_hz)
+                  for m in PowerMode for p in ProcessorConfig().pstate_table()]
+        first = [model.core_power_w(*point) for point in points]
+        again = [model.core_power_w(*point) for point in points]
+        fresh = [PowerModel().core_power_w(*point) for point in points]
+        assert first == again == fresh
+        assert len(model._core_power) == len(points)

@@ -47,6 +47,12 @@ class TestFrame:
         assert frame.wire_bytes == wire_bytes_for(3000)
         assert not frame.is_single_packet
 
+    @pytest.mark.parametrize("payload", [0, 1, MSS, MSS + 1, 10 * MSS + 7])
+    def test_sizes_match_the_protocol_helpers(self, payload):
+        frame = Frame("a", "b", payload_bytes=payload)
+        assert frame.n_segments == segments_for(payload)
+        assert frame.wire_bytes == wire_bytes_for(payload)
+
     def test_frame_ids_unique(self):
         a = Frame("a", "b", 10)
         b = Frame("a", "b", 10)

@@ -1,11 +1,45 @@
-"""Tests for probe points and the probe bus."""
+"""Tests for probe points, the probe bus and the probe event types."""
+
+import pickle
+import typing
+
+import pytest
 
 from repro.telemetry import (
     CStateTransition,
-    PStateChange,
+    GovernorDecision,
+    GovernorMiss,
+    IrqDelivered,
+    NcapWake,
+    NicRx,
+    NicTx,
+    PacketClassified,
     ProbeBus,
+    ProbeEvent,
     ProbePoint,
+    PStateChange,
+    RequestAccounting,
+    RequestPhase,
+    RingOccupancy,
     Telemetry,
+    WatchpointFired,
+)
+
+#: One instance of every ProbeEvent type.
+SAMPLE_EVENTS = (
+    CStateTransition(10, "server.cpu", 1, "C6", 3, "wake", exit_latency_ns=50),
+    PStateChange(10, "server.cpu", 2, 2.9e9),
+    IrqDelivered(10, "hardirq", "nic-irq", 0),
+    NicRx(10, "server.nic", 1566, "request"),
+    NicTx(10, "server.nic", 9066, "response"),
+    RingOccupancy(10, "server.nic", 3, 512, False),
+    GovernorDecision(10, "menu", 2, 4_000.0, core_id=1),
+    GovernorMiss(10, "menu", 1, "C3", "C6", "below", 90_000, cost_j=1e-6),
+    PacketClassified(10, "server.reqmon", True, 4),
+    NcapWake(10, "server.ncap", "it_high"),
+    RequestPhase(10, "client0", 7, "delivered", core=2),
+    RequestAccounting(10, "client0", 7, 1, 1, 1, 2, 3, 4, 5, 6, 7.5, 8),
+    WatchpointFired(10, "queue-overload", "runq.depth", 12.0),
 )
 
 
@@ -135,3 +169,34 @@ class TestTelemetryFacade:
         assert telemetry.probes.point("nic.rx") is probe
         counter = telemetry.counter("nic.rx.frames")
         assert telemetry.stats.value("nic.rx.frames") == counter.value
+
+
+class TestProbeEvents:
+    def test_samples_cover_every_event_type(self):
+        assert {type(e) for e in SAMPLE_EVENTS} == set(typing.get_args(ProbeEvent))
+
+    @pytest.mark.parametrize("event", SAMPLE_EVENTS, ids=lambda e: type(e).__name__)
+    def test_rejects_attribute_assignment(self, event):
+        with pytest.raises(AttributeError):
+            event.t_ns = 20
+        with pytest.raises(AttributeError):
+            event.extra = 1
+
+    @pytest.mark.parametrize("event", SAMPLE_EVENTS, ids=lambda e: type(e).__name__)
+    def test_pickle_round_trip(self, event):
+        copy = pickle.loads(pickle.dumps(event))
+        assert type(copy) is type(event)
+        assert copy == event
+        assert hash(copy) == hash(event)
+
+    @pytest.mark.parametrize("event_type", [RequestPhase, RequestAccounting])
+    def test_span_id_names_src_and_req_id(self, event_type):
+        (event,) = [e for e in SAMPLE_EVENTS if type(e) is event_type]
+        assert event.span_id == "client0/7"
+        assert event._replace(req_id=None).span_id == "client0/None"
+
+    def test_defaults_and_keywords(self):
+        phase = RequestPhase(t_ns=5, src="c", req_id=1, phase="arrival")
+        assert phase.core is None
+        assert CStateTransition(0, "cpu", 0, "C1", 1, "enter").exit_latency_ns == 0
+        assert WatchpointFired(0, "w", "s", 1.0).detail == ""
