@@ -75,8 +75,11 @@ LOAD_LEVELS: Dict[str, Dict[str, LoadLevel]] = {
 
 def load_level(app: str, name: str) -> LoadLevel:
     """Look up a preset load level."""
+    levels = LOAD_LEVELS.get(app)
+    if levels is None:
+        raise KeyError(f"unknown app {app!r}; choose from {sorted(LOAD_LEVELS)}")
     try:
-        return LOAD_LEVELS[app][name]
+        return levels[name]
     except KeyError:
         raise KeyError(f"unknown load level {app!r}/{name!r}") from None
 

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.apps.workload import check_run_fields, generate_load_shares
 from repro.cluster.frontend import FrontendConfig
-from repro.cluster.policies import PolicyConfig
+from repro.cluster.policies import PolicyConfig, check_policy
 from repro.cpu.energy import EnergyReport
 from repro.harness.record import ResultRecord
 from repro.metrics.latency import LatencyStats
@@ -73,6 +73,7 @@ class DatacenterConfig:
 
     def __post_init__(self) -> None:
         check_run_fields(self.app, self.warmup_ns, self.measure_ns, self.drain_ns)
+        check_policy(self.policy)
         if self.n_servers < 1:
             raise ValueError("n_servers must be at least 1")
         shares = self.load_shares

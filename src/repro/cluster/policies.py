@@ -89,3 +89,17 @@ def get_policy(policy: Union[str, PolicyConfig]) -> PolicyConfig:
         raise KeyError(
             f"unknown policy {policy!r}; choose from {sorted(POLICIES)}"
         ) from None
+
+
+def check_policy(policy: Union[str, PolicyConfig]) -> None:
+    """Reject a ``policy`` config field :func:`get_policy` cannot resolve.
+
+    Raises ``ValueError`` naming the field and the choices, so a bad
+    config fails when it is built rather than when its run starts.
+    """
+    try:
+        get_policy(policy)
+    except KeyError:
+        raise ValueError(
+            f"policy must be one of {sorted(POLICIES)}, got {policy!r}"
+        ) from None

@@ -24,7 +24,7 @@ from repro.apps.workload import (
     sla_for,
 )
 from repro.cluster.node import ServerNode
-from repro.cluster.policies import PolicyConfig
+from repro.cluster.policies import PolicyConfig, check_policy
 from repro.cluster.recording import build_server_recorder, utilization_source
 from repro.core.config import NCAPConfig
 from repro.cpu.config import ProcessorConfig
@@ -84,6 +84,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         check_run_fields(self.app, self.warmup_ns, self.measure_ns, self.drain_ns)
+        check_policy(self.policy)
 
     @property
     def sla_ns(self) -> int:

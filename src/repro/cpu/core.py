@@ -43,6 +43,24 @@ class CoreState(enum.Enum):
     WAKING = "waking"    # exiting a C-state
 
 
+# Module-level member aliases for the per-job path (the kernel's
+# ``_TUPLE``/``_EVENT`` idiom): a global load is several times cheaper
+# than ``CoreState.IDLE``, which goes through the enum class.  They are
+# the same objects, so every ``is`` test is unchanged.
+_IDLE = CoreState.IDLE
+_RUN = CoreState.RUN
+_STALL = CoreState.STALL
+_SLEEP = CoreState.SLEEP
+_WAKING = CoreState.WAKING
+
+_PM_RUN = PowerMode.RUN
+_PM_IDLE_POLL = PowerMode.IDLE_POLL
+_PM_STALL = PowerMode.STALL
+_PM_WAKING = PowerMode.WAKING
+_PM_C1 = PowerMode.C1
+_SLEEP_MODES = {"C1": _PM_C1, "C3": PowerMode.C3, "C6": PowerMode.C6}
+
+
 class ExecAccount:
     """Execution account a :class:`Job` can carry for attribution.
 
@@ -100,7 +118,7 @@ class Core:
         self.core_id = core_id
         self._package = package
         self.meter = meter
-        self.state: CoreState = CoreState.IDLE
+        self.state: CoreState = _IDLE
         self.on_idle: Optional[Callable[["Core"], None]] = None
         #: Optional fast-path pull hook installed by the scheduler: on job
         #: completion the core asks for the next queued job directly,
@@ -138,7 +156,7 @@ class Core:
         self._cstate_probe = package.telemetry.probe("cpu.cstate")
         self._entry_counters: Dict[str, Counter] = {}
 
-        meter.start(PowerMode.IDLE_POLL, package.voltage, package.frequency_hz)
+        meter.start(_PM_IDLE_POLL, package.voltage, package.frequency_hz)
 
     # -- introspection -----------------------------------------------------
 
@@ -153,11 +171,11 @@ class Core:
     @property
     def is_idle(self) -> bool:
         """True when the core can accept a job without preempting/queueing."""
-        return self.state is CoreState.IDLE
+        return self.state is _IDLE
 
     @property
     def is_sleeping(self) -> bool:
-        return self.state is CoreState.SLEEP
+        return self.state is _SLEEP
 
     @property
     def current_cstate(self) -> Optional[CState]:
@@ -176,7 +194,7 @@ class Core:
     def busy_ns_total(self) -> int:
         """Cumulative busy time (RUN state), including the open segment."""
         total = self._cumulative_busy_ns
-        if self.state is CoreState.RUN:
+        if self.state is _RUN:
             total += self._sim.now - self._run_started
         return total
 
@@ -196,16 +214,16 @@ class Core:
         - SLEEP: queued and the core is woken (pays the exit latency).
         """
         state = self.state
-        if state is CoreState.IDLE:
+        if state is _IDLE:
             self._start(job)
-        elif state is CoreState.RUN:
+        elif state is _RUN:
             if not preempt:
                 raise CoreBusyError(f"core {self.core_id} is running {self._current!r}")
             self._pause_current(push=True)
             self._start(job)
-        elif state in (CoreState.STALL, CoreState.WAKING):
+        elif state is _STALL or state is _WAKING:
             self._pending.append(job)
-        elif state is CoreState.SLEEP:
+        elif state is _SLEEP:
             self._pending.append(job)
             self.wake()
         else:  # pragma: no cover - exhaustive
@@ -218,10 +236,11 @@ class Core:
         Used for SoftIRQ chaining: softirqs raised while a kernel job runs
         drain FIFO instead of preempting each other.
         """
-        if self.state is CoreState.SLEEP:
+        state = self.state
+        if state is _SLEEP:
             self._pending.append(job)
             self.wake()
-        elif self.state is CoreState.IDLE:
+        elif state is _IDLE:
             self._start(job)
         else:
             self._pending.append(job)
@@ -229,27 +248,30 @@ class Core:
     # -- execution internals -------------------------------------------------
 
     def _start(self, job: Job) -> None:
-        if self.state in (CoreState.IDLE, CoreState.WAKING):
+        sim = self._sim
+        now = sim.now
+        state = self.state
+        if state is _IDLE or state is _WAKING:
             # An idle period (possibly spent in a C-state) ends now.
             if self._boot_idle:
                 self._boot_idle = False
             else:
-                self.last_idle_duration_ns = self._sim.now - self._idle_since
+                idle_ns = now - self._idle_since
+                self.last_idle_duration_ns = idle_ns
                 self.idle_periods_completed += 1
                 if self.on_idle_end is not None:
-                    self.on_idle_end(self, self.last_idle_duration_ns)
+                    self.on_idle_end(self, idle_ns)
         account = job.account
         if account is not None and account.first_start_ns is None:
-            account.first_start_ns = self._sim.now
+            account.first_start_ns = now
             account.first_core = self.core_id
         self._current = job
-        self.state = CoreState.RUN
-        self._run_started = self._sim.now
-        self.meter.set_mode(
-            PowerMode.RUN, self._package.voltage, self._package.frequency_hz
-        )
-        duration = cycles_to_ns(job.remaining, self._package.frequency_hz)
-        self._completion = self._sim.schedule(duration, self._complete)
+        self.state = _RUN
+        self._run_started = now
+        package = self._package
+        freq = package.frequency_hz
+        self.meter.set_mode(_PM_RUN, package.voltage, freq)
+        self._completion = sim.schedule(cycles_to_ns(job.remaining, freq), self._complete)
 
     def _pause_current(self, push: bool) -> None:
         job = self._current
@@ -275,10 +297,11 @@ class Core:
     def _complete(self) -> None:
         job = self._current
         assert job is not None
-        self._cumulative_busy_ns += self._sim.now - self._run_started
+        ran_ns = self._sim.now - self._run_started
+        self._cumulative_busy_ns += ran_ns
         account = job.account
         if account is not None:
-            account.cpu_ns += self._sim.now - self._run_started
+            account.cpu_ns += ran_ns
             account.cycles += job.remaining
         job.remaining = 0.0
         self._current = None
@@ -293,23 +316,23 @@ class Core:
         elif self._stack:
             self._start(self._stack.pop())
         else:
-            if self.take_next is not None:
-                job = self.take_next()
+            take_next = self.take_next
+            if take_next is not None:
+                job = take_next()
                 if job is not None:
                     # Zero-length idle handoff: _start books the idle
                     # period (duration 0); the skipped IDLE_POLL meter
                     # segment would also have had zero duration.
-                    self.state = CoreState.IDLE
+                    self.state = _IDLE
                     self._idle_since = self._sim.now
                     self._cstate = None
                     self._start(job)
                     return
-            self.state = CoreState.IDLE
+            self.state = _IDLE
             self._idle_since = self._sim.now
             self._cstate = None
-            self.meter.set_mode(
-                PowerMode.IDLE_POLL, self._package.voltage, self._package.frequency_hz
-            )
+            package = self._package
+            self.meter.set_mode(_PM_IDLE_POLL, package.voltage, package.frequency_hz)
             if self.on_idle is not None:
                 self.on_idle(self)
 
@@ -320,9 +343,10 @@ class Core:
 
         Sleeping/waking cores are unaffected: their clock is already off.
         """
-        if self.state in (CoreState.SLEEP, CoreState.WAKING):
+        state = self.state
+        if state is _SLEEP or state is _WAKING:
             return
-        if self.state is CoreState.STALL:
+        if state is _STALL:
             # Overlapping transitions are serialized by the package; extend.
             assert self._stall_end is not None
             if self._sim.now + duration_ns > self._stall_end.time:
@@ -330,16 +354,15 @@ class Core:
                 self._stall_end = self._sim.schedule(duration_ns, self._stall_done)
             return
         account = None
-        if self.state is CoreState.RUN:
+        if state is _RUN:
             assert self._current is not None
             account = self._current.account
             self._pause_current(push=True)
-        self.state = CoreState.STALL
+        self.state = _STALL
         self._stall_started = self._sim.now
         self._stall_account = account
-        self.meter.set_mode(
-            PowerMode.STALL, self._package.voltage, self._package.frequency_hz
-        )
+        package = self._package
+        self.meter.set_mode(_PM_STALL, package.voltage, package.frequency_hz)
         self._stall_end = self._sim.schedule(duration_ns, self._stall_done)
 
     def _stall_done(self) -> None:
@@ -356,7 +379,8 @@ class Core:
         """
         freq = self._package.frequency_hz
         voltage = self._package.voltage
-        if self.state is CoreState.RUN:
+        state = self.state
+        if state is _RUN:
             job = self._current
             assert job is not None
             elapsed = self._sim.now - self._run_started
@@ -376,7 +400,7 @@ class Core:
             self._completion = self._sim.schedule(
                 cycles_to_ns(job.remaining, freq), self._complete
             )
-        if self.state is CoreState.SLEEP:
+        if state is _SLEEP:
             # C3/C6 hold their own retention voltage; only C1 tracks the
             # domain voltage.
             if self._cstate is not None and self._cstate.name == "C1":
@@ -412,9 +436,7 @@ class Core:
 
     @staticmethod
     def _sleep_mode(cstate: CState) -> PowerMode:
-        return {"C1": PowerMode.C1, "C3": PowerMode.C3, "C6": PowerMode.C6}.get(
-            cstate.name, PowerMode.C1
-        )
+        return _SLEEP_MODES.get(cstate.name, _PM_C1)
 
     def _begin_sleep_power(self, cstate: CState) -> None:
         """Charge the entry transition, then settle at the state's power.
@@ -425,7 +447,7 @@ class Core:
         """
         if cstate.entry_latency_ns > 0:
             self.meter.set_mode(
-                PowerMode.WAKING, self._package.voltage, self._package.frequency_hz
+                _PM_WAKING, self._package.voltage, self._package.frequency_hz
             )
             self._sim.schedule(
                 cstate.entry_latency_ns, self._sleep_entry_done, cstate
@@ -436,18 +458,18 @@ class Core:
             )
 
     def _sleep_entry_done(self, cstate: CState) -> None:
-        if self.state is CoreState.SLEEP and self._cstate is cstate:
+        if self.state is _SLEEP and self._cstate is cstate:
             self.meter.set_mode(
                 self._sleep_mode(cstate), self._package.voltage, self._package.frequency_hz
             )
 
     def enter_sleep(self, cstate: CState) -> None:
         """Transition an IDLE core into ``cstate``."""
-        if self.state is not CoreState.IDLE:
+        if self.state is not _IDLE:
             raise RuntimeError(
                 f"core {self.core_id} cannot sleep from state {self.state}"
             )
-        self.state = CoreState.SLEEP
+        self.state = _SLEEP
         self._cstate = cstate
         self._count_entry(cstate)
         if self._cstate_probe.enabled:
@@ -462,7 +484,7 @@ class Core:
         far longer than predicted; the deeper state's entry transition is
         charged, and its exit latency is paid on the eventual wake.
         """
-        if self.state is not CoreState.SLEEP:
+        if self.state is not _SLEEP:
             raise RuntimeError(
                 f"core {self.core_id} cannot promote from state {self.state}"
             )
@@ -477,12 +499,12 @@ class Core:
 
     def wake(self) -> None:
         """Begin exiting the current C-state (idempotent while waking)."""
-        if self.state is not CoreState.SLEEP:
+        if self.state is not _SLEEP:
             return
         assert self._cstate is not None
-        self.state = CoreState.WAKING
+        self.state = _WAKING
         self.meter.set_mode(
-            PowerMode.WAKING, self._package.voltage, self._package.frequency_hz
+            _PM_WAKING, self._package.voltage, self._package.frequency_hz
         )
         delay = self._cstate.exit_latency_ns + self.wake_extra_ns
         self._wake_end = self._sim.schedule(delay, self._wake_done)

@@ -84,12 +84,15 @@ class Runner:
         specs = list(specs)
         total = len(specs)
         records: List[Optional[ResultRecord]] = [None] * total
+        # Build every config before the first simulation, so a bad spec
+        # fails the sweep up front instead of after the runs before it.
+        configs = [spec.to_config() for spec in specs]
 
         pending: List[int] = []
         for i, spec in enumerate(specs):
             cached = None
             if self.cache is not None:
-                cached = self.cache.get(config_hash(spec.to_config()))
+                cached = self.cache.get(config_hash(configs[i]))
             if cached is not None:
                 cached.from_cache = True
                 records[i] = cached

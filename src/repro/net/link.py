@@ -51,13 +51,13 @@ class _Direction:
         """Offer ``frame`` to the wire at sim-time ``t`` (>= ``sim.now``)."""
         assert self._sink is not None, "link endpoint not attached"
         wire_bytes = frame.wire_bytes
-        start = max(t, self._tail_ns)
-        self._tail_ns = start + transmission_delay_ns(wire_bytes, self._bandwidth)
+        tail = self._tail_ns
+        start = t if t > tail else tail
+        tail = start + transmission_delay_ns(wire_bytes, self._bandwidth)
+        self._tail_ns = tail
         self.frames_carried += 1
         self.bytes_carried += wire_bytes
-        self._sim.schedule_at(
-            self._tail_ns + self._latency, self._sink.receive_frame, frame
-        )
+        self._sim.schedule_at(tail + self._latency, self._sink.receive_frame, frame)
 
     def send(self, frame: Frame) -> None:
         self.send_at(self._sim.now, frame)

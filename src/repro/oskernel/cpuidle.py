@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional
 
-from repro.cpu.core import Core, CoreState
+from repro.cpu.core import _IDLE, _SLEEP, _WAKING, Core
 from repro.cpu.cstates import CState, CStateTable
 from repro.cpu.power import PowerMode
 from repro.sim.units import MS, US
@@ -246,7 +246,7 @@ class CpuidleDriver:
     def _recheck_idle(self, core: Core, token: int) -> None:
         if not self.enabled:
             return
-        if core.state is not CoreState.IDLE or core.idle_since != token:
+        if core.state is not _IDLE or core.idle_since != token:
             return  # the idle period we were watching ended
         self._consider(core)
 
@@ -267,7 +267,7 @@ class CpuidleDriver:
     def _promotion_check(self, core: Core, token: int) -> None:
         if not self.enabled:
             return
-        if core.state is not CoreState.SLEEP or core.idle_since != token:
+        if core.state is not _SLEEP or core.idle_since != token:
             return
         already = core.sim.now - token
         choice = self.governor.select(core, already_idle_ns=already)
@@ -482,7 +482,8 @@ class IdleAccounting:
         the window lands in exactly one snapshot delta.
         """
         for core in self._cores:
-            if core.state in (CoreState.IDLE, CoreState.SLEEP, CoreState.WAKING):
+            state = core.state
+            if state is _IDLE or state is _SLEEP or state is _WAKING:
                 elapsed = core.sim.now - core.idle_since
             else:
                 elapsed = 0

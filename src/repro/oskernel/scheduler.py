@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, List, Optional
 
-from repro.cpu.core import Core, CoreState, Job
+from repro.cpu.core import _IDLE, _SLEEP, _STALL, _WAKING, Core, Job
 from repro.cpu.package import ClockDomain
 from repro.sim.kernel import Simulator
 
@@ -46,9 +46,8 @@ class Scheduler:
         self.jobs_enqueued += 1
         if core_hint is not None:
             core = self.cores[core_hint]
-            if core.state in (
-                CoreState.IDLE, CoreState.SLEEP, CoreState.WAKING, CoreState.STALL,
-            ):
+            state = core.state
+            if state is _IDLE or state is _SLEEP or state is _WAKING or state is _STALL:
                 core.dispatch(job)
                 return
             # Soft affinity (RFS-like): the preferred core is busy, so fall
@@ -59,19 +58,21 @@ class Scheduler:
         if core is not None:
             core.dispatch(job)
         else:
-            self._queue.append(job)
-            self.max_queue_depth = max(self.max_queue_depth, len(self._queue))
+            queue = self._queue
+            queue.append(job)
+            if len(queue) > self.max_queue_depth:
+                self.max_queue_depth = len(queue)
 
     def _pick_core(self) -> Optional[Core]:
         waking = None
         sleeping = None
         for core in self.cores:
             state = core.state
-            if state is CoreState.IDLE:
+            if state is _IDLE:
                 return core
-            if state is CoreState.WAKING and waking is None and core.queue_depth() == 0:
+            if state is _WAKING and waking is None and core.queue_depth() == 0:
                 waking = core
-            elif state is CoreState.SLEEP and sleeping is None and core.queue_depth() == 0:
+            elif state is _SLEEP and sleeping is None and core.queue_depth() == 0:
                 sleeping = core
         return waking or sleeping
 
@@ -101,5 +102,5 @@ class Scheduler:
     def wake_all(self) -> None:
         """Wake every sleeping core (used by NCAP's IT_HIGH path)."""
         for core in self.cores:
-            if core.state is CoreState.SLEEP:
+            if core.state is _SLEEP:
                 core.wake()

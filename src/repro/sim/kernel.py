@@ -16,6 +16,12 @@ hybrid) with same-timestamp batch dispatch:
   replaced, retained as the differential-parity reference.  Same API,
   same observable behaviour (event order, seq consumption, results).
 
+The clock: ``sim.now`` is a plain integer attribute, not a property —
+models read it on every job and frame, and an attribute load is several
+times cheaper than a property call.  Only the dispatch loops
+(:meth:`Simulator.run`, :meth:`Simulator._run_profiled` and the
+``until`` advance at their end) write it; nothing else may.
+
 Determinism guarantees (both schedulers):
 
 - Time is an integer; no float drift can reorder events.
@@ -164,7 +170,8 @@ class Simulator:
         #: Unsorted far-future staging: (time, seq, entry) records.
         self._overflow: List[Tuple[int, int, Any]] = []
         self._horizon: int = self.OVERFLOW_SPAN_NS
-        self._now: int = 0
+        #: Current simulated time in ns; only the dispatch loops write it.
+        self.now: int = 0
         self._seq: int = 0
         #: Scheduled call units physically queued (tombstones included;
         #: a _Batch counts as its ``count``).
@@ -184,20 +191,13 @@ class Simulator:
         #: Exact count of cancelled tombstones still linked in the queue.
         self._cancelled_in_heap: int = 0
 
-    # -- clock ---------------------------------------------------------
-
-    @property
-    def now(self) -> int:
-        """Current simulated time in nanoseconds."""
-        return self._now
-
     # -- scheduling ------------------------------------------------------
 
     def schedule(self, delay: int, fn: Callable[..., None], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` ns from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} ns in the past")
-        time = self._now + int(delay)
+        time = self.now + int(delay)
         self._seq += 1
         event = Event(time, self._seq, fn, args, self)
         if time < self._horizon:
@@ -215,9 +215,9 @@ class Simulator:
     def schedule_at(self, time: int, fn: Callable[..., None], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulated ``time`` ns."""
         time = int(time)
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} ns; now is t={self._now} ns"
+                f"cannot schedule at t={time} ns; now is t={self.now} ns"
             )
         self._seq += 1
         event = Event(time, self._seq, fn, args, self)
@@ -235,7 +235,7 @@ class Simulator:
 
     def call_now(self, fn: Callable[..., None], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at the current time (after pending ties)."""
-        return self.schedule_at(self._now, fn, *args)
+        return self.schedule_at(self.now, fn, *args)
 
     def schedule_many(
         self, times: Iterable[int], fn: Callable[..., None], *args: Any
@@ -253,7 +253,7 @@ class Simulator:
         overflow = self._overflow
         push = heapq.heappush
         horizon = self._horizon
-        now = self._now
+        now = self.now
         entry = (fn, args)
         seq = self._seq
         n = 0
@@ -295,7 +295,7 @@ class Simulator:
             raise SimulationError(f"cannot schedule {delay} ns in the past")
         if count <= 0:
             raise SimulationError(f"batch count must be positive, got {count}")
-        time = self._now + int(delay)
+        time = self.now + int(delay)
         first_seq = self._seq + 1
         self._seq += count
         entry = _Batch(fn, args, count)
@@ -323,7 +323,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} ns in the past")
-        time = self._now + int(delay)
+        time = self.now + int(delay)
         if event._queued:
             if event.cancelled:
                 # Tombstone still linked elsewhere: reusing the object
@@ -593,7 +593,7 @@ class Simulator:
                 if i == n:
                     self._size -= consumed
                     continue
-                self._now = time
+                self.now = time
                 try:
                     while i < n:
                         e = bucket[i]
@@ -645,12 +645,12 @@ class Simulator:
                     self._size -= consumed
                     if i < n:
                         self._requeue(time, bucket[i:])
-            if until is not None and self._now < until and not self._stopped:
-                self._now = until
+            if until is not None and self.now < until and not self._stopped:
+                self.now = until
         finally:
             self.events_executed = executed
             self._running = False
-        return self._now
+        return self.now
 
     def _run_profiled(self, until: Optional[int] = None) -> int:
         """Instrumented twin of :meth:`run`.
@@ -719,7 +719,7 @@ class Simulator:
                 if i == n:
                     self._size -= consumed
                     continue
-                self._now = time
+                self.now = time
                 try:
                     while i < n:
                         e = bucket[i]
@@ -812,7 +812,7 @@ class Simulator:
                         if depth > max_depth:
                             max_depth = depth
                         if countdown <= 0:
-                            checkpoint(self._now)
+                            checkpoint(self.now)
                             countdown = every
                         if stopped:
                             break
@@ -821,8 +821,8 @@ class Simulator:
                     self._size -= consumed
                     if i < n:
                         self._requeue(time, bucket[i:])
-            if until is not None and self._now < until and not self._stopped:
-                self._now = until
+            if until is not None and self.now < until and not self._stopped:
+                self.now = until
         finally:
             self.events_executed = executed
             self._running = False
@@ -832,7 +832,7 @@ class Simulator:
             profiler.max_heap_depth = max_depth
             profiler._countdown = countdown
             profiler._note_run(self)
-        return self._now
+        return self.now
 
     def peek_next_time(self) -> Optional[int]:
         """Timestamp of the next pending event, or None if the queue is empty.
@@ -911,7 +911,8 @@ class HeapScheduler:
 
     def __init__(self) -> None:
         self._heap: List[Event] = []
-        self._now: int = 0
+        #: Current simulated time in ns; only the dispatch loops write it.
+        self.now: int = 0
         self._seq: int = 0
         self._running = False
         self._stopped = False
@@ -930,26 +931,19 @@ class HeapScheduler:
         #: re-derives the truth.
         self._cancelled_in_heap: int = 0
 
-    # -- clock ---------------------------------------------------------
-
-    @property
-    def now(self) -> int:
-        """Current simulated time in nanoseconds."""
-        return self._now
-
     # -- scheduling ------------------------------------------------------
 
     def schedule(self, delay: int, fn: Callable[..., None], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` ns from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} ns in the past")
-        return self.schedule_at(self._now + int(delay), fn, *args)
+        return self.schedule_at(self.now + int(delay), fn, *args)
 
     def schedule_at(self, time: int, fn: Callable[..., None], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulated ``time`` ns."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} ns; now is t={self._now} ns"
+                f"cannot schedule at t={time} ns; now is t={self.now} ns"
             )
         self._seq += 1
         event = Event(int(time), self._seq, fn, args, self)
@@ -958,7 +952,7 @@ class HeapScheduler:
 
     def call_now(self, fn: Callable[..., None], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at the current time (after pending ties)."""
-        return self.schedule_at(self._now, fn, *args)
+        return self.schedule_at(self.now, fn, *args)
 
     def schedule_many(
         self, times: Iterable[int], fn: Callable[..., None], *args: Any
@@ -978,7 +972,7 @@ class HeapScheduler:
             raise SimulationError(f"cannot schedule {delay} ns in the past")
         if count <= 0:
             raise SimulationError(f"batch count must be positive, got {count}")
-        time = self._now + int(delay)
+        time = self.now + int(delay)
         for _ in range(count):
             self.schedule_at(time, fn, *args)
         return count
@@ -1059,14 +1053,14 @@ class HeapScheduler:
                     break
                 heapq.heappop(heap)
                 event._queued = False
-                self._now = event.time
+                self.now = event.time
                 self.events_executed += 1
                 event.fn(*event.args)
-            if until is not None and self._now < until and not self._stopped:
-                self._now = until
+            if until is not None and self.now < until and not self._stopped:
+                self.now = until
         finally:
             self._running = False
-        return self._now
+        return self.now
 
     def _run_profiled(self, until: Optional[int] = None) -> int:
         """Instrumented twin of :meth:`run` (one timer read per event)."""
@@ -1102,7 +1096,7 @@ class HeapScheduler:
                     break
                 heapq.heappop(heap)
                 event._queued = False
-                self._now = event.time
+                self.now = event.time
                 self.events_executed += 1
                 event.fn(*event.args)
                 t_now = perf()
@@ -1122,10 +1116,10 @@ class HeapScheduler:
                 profiler.events += 1
                 countdown -= 1
                 if countdown <= 0:
-                    checkpoint(self._now)
+                    checkpoint(self.now)
                     countdown = every
-            if until is not None and self._now < until and not self._stopped:
-                self._now = until
+            if until is not None and self.now < until and not self._stopped:
+                self.now = until
         finally:
             self._running = False
             loop_wall = perf() - loop_start
@@ -1134,7 +1128,7 @@ class HeapScheduler:
             profiler.max_heap_depth = max_depth
             profiler._countdown = countdown
             profiler._note_run(self)
-        return self._now
+        return self.now
 
     def peek_next_time(self) -> Optional[int]:
         """Timestamp of the next pending event, or None if the heap is empty.

@@ -65,15 +65,17 @@ def transmission_delay_ns(size_bytes: int, bandwidth_bps: float) -> int:
     """
     if size_bytes <= 0:
         return 0
-    delay = size_bytes * BITS_PER_BYTE / bandwidth_bps * SEC
-    return max(1, round(delay))
+    delay = round(size_bytes * BITS_PER_BYTE / bandwidth_bps * SEC)
+    # A compare, not max(1, ...): same int, a fraction of the call cost.
+    return delay if delay > 1 else 1
 
 
 def cycles_to_ns(cycles: float, freq_hz: float) -> int:
     """Time to execute ``cycles`` at ``freq_hz``, as integer ns (>= 1)."""
     if cycles <= 0:
         return 0
-    return max(1, round(cycles / freq_hz * SEC))
+    ns = round(cycles / freq_hz * SEC)
+    return ns if ns > 1 else 1
 
 
 def ns_to_cycles(duration_ns: int, freq_hz: float) -> float:

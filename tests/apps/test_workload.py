@@ -42,7 +42,7 @@ class TestPresets:
     def test_unknown_level(self):
         with pytest.raises(KeyError):
             load_level("apache", "extreme")
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="unknown app 'nginx'; choose from"):
             load_level("nginx", "low")
 
     def test_all_levels_carry_their_sla(self):

@@ -58,6 +58,12 @@ class TestValidation:
         config = tiny_config(warmup_ns=0, drain_ns=0)
         assert config.end_ns == config.measure_ns
 
+    def test_unknown_policy_rejected_at_construction(self):
+        with pytest.raises(
+            ValueError, match=r"policy must be one of \[.*'ncap.cons'.*\], got 'nope'"
+        ):
+            tiny_config(policy="nope")
+
 
 class TestTopology:
     def test_all_nodes_routable(self):

@@ -39,6 +39,12 @@ class TestValidation:
         config = quick_config(warmup_ns=0, drain_ns=0)
         assert config.end_ns == config.measure_ns
 
+    def test_unknown_policy_rejected_at_construction(self):
+        with pytest.raises(
+            ValueError, match=r"policy must be one of \[.*'perf'.*\], got 'nope'"
+        ):
+            quick_config(policy="nope")
+
 
 class TestClusterBuild:
     def test_star_topology(self):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cpu import CoreBusyError, CoreState, Job, ProcessorConfig
+from repro.cpu.core import Core
 from repro.sim import Simulator
 from repro.sim.units import US
 
@@ -224,3 +225,15 @@ class TestSleepAndWake:
         core.dispatch(Job(3.1e9 * 10e-6))
         sim.run()
         assert core.idle_since == 10 * US
+
+
+class TestHotPathAliases:
+    """The per-job methods load enum members through module aliases."""
+
+    @pytest.mark.parametrize(
+        "method", ["_start", "_complete", "_maybe_run_next", "dispatch"]
+    )
+    def test_no_enum_class_lookups(self, method):
+        names = getattr(Core, method).__code__.co_names
+        assert "CoreState" not in names
+        assert "PowerMode" not in names

@@ -59,6 +59,14 @@ class TestDeterminism:
 
 
 class TestRunnerMechanics:
+    def test_bad_spec_fails_before_any_run(self):
+        good = SWEEP.expand()[0]
+        bad = SweepSpec(policies=("nope",), settings=TINY).expand()[0]
+        events = []
+        with pytest.raises(ValueError, match="policy must be one of"):
+            run_sweep([good, bad], jobs=1, cache=None, progress=events.append)
+        assert events == []  # the good point never ran either
+
     def test_progress_hook_sees_every_point(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         events = []

@@ -1,5 +1,7 @@
 """Tests for the run queue / scheduler."""
 
+import pytest
+
 from repro.cpu import CoreState, Job, ProcessorConfig
 from repro.oskernel import Scheduler
 from repro.sim import Simulator
@@ -164,3 +166,44 @@ class TestTakeNext:
         sched.enqueue(Job(work_us(10)))
         sim.run()
         assert idled == [0]
+
+
+class TestPickCore:
+    @pytest.mark.parametrize("method", ["enqueue", "_pick_core"])
+    def test_no_enum_class_lookups(self, method):
+        names = getattr(Scheduler, method).__code__.co_names
+        assert "CoreState" not in names
+        assert "PowerMode" not in names
+
+    @staticmethod
+    def _cores(states):
+        """A 3-core scheduler with core ``i`` put into ``states[i]``:
+        "idle", "sleep", "waking" or "waking+backlog"."""
+        sim, package, sched = make(n_cores=3)
+        c6 = package.cstates.by_name("C6")
+        for core, state in zip(package.cores, states):
+            if state == "idle":
+                continue
+            core.enter_sleep(c6)
+            if state == "waking":
+                core.wake()
+            elif state == "waking+backlog":
+                core.dispatch(Job(work_us(1)))  # queues the job and wakes
+                assert core.queue_depth() == 1
+        return sched
+
+    @pytest.mark.parametrize(
+        "states, expected",
+        [
+            (("sleep", "waking", "idle"), 2),
+            (("sleep", "waking", "waking"), 1),
+            (("waking+backlog", "sleep", "waking"), 2),
+            (("waking+backlog", "sleep", "sleep"), 1),
+            (("waking+backlog", "waking+backlog", "waking+backlog"), None),
+        ],
+    )
+    def test_preference_order(self, states, expected):
+        """Idle core, then a waking core with an empty backlog, then a
+        sleeping core; a waking core with a backlog is never picked."""
+        picked = self._cores(states)._pick_core()
+        assert (picked.core_id if picked is not None else None) == expected

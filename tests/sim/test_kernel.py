@@ -9,6 +9,7 @@ the per-kernel classes at the bottom.
 
 import pytest
 
+from repro.profiling.profiler import SimProfiler
 from repro.sim import HeapScheduler, SimulationError, Simulator
 
 
@@ -335,6 +336,40 @@ class TestReschedule:
         sim.run()
         assert count[0] == 500
         assert sim.heap_size() == 0
+
+
+class TestClock:
+    """``now`` is a plain int attribute that only the dispatch loop writes."""
+
+    @pytest.fixture(params=[False, True], ids=["plain", "profiled"])
+    def clocked(self, request, sim):
+        if request.param:
+            sim.set_profiler(SimProfiler())
+        return sim
+
+    def test_now_is_an_int_instance_attribute(self, sim_cls, sim):
+        assert not isinstance(getattr(sim_cls, "now", None), property)
+        assert "now" in vars(sim)
+        assert type(sim.now) is int
+
+    def test_now_equals_firing_time_inside_handler(self, clocked):
+        sim = clocked
+        times = (5, 17, 17, 3 << 21)  # the last lands past the wheel horizon
+        seen = []
+        for t in times:
+            sim.schedule_at(t, lambda: seen.append(sim.now))
+        sim.schedule_batch(17, 2, lambda: seen.append(sim.now))
+        sim.run()
+        assert seen == [5, 17, 17, 17, 17, 3 << 21]
+        assert all(type(t) is int for t in seen)
+
+    @pytest.mark.parametrize("until", [0, 10, 40, 3 << 21])
+    def test_now_equals_until_after_bounded_run(self, clocked, until):
+        sim = clocked
+        sim.schedule(10, lambda: None)
+        assert sim.run(until=until) == until
+        assert sim.now == until
+        assert type(sim.now) is int
 
 
 class TestRunEdgeCases:

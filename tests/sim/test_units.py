@@ -1,6 +1,8 @@
 """Tests for unit helpers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import units
 
@@ -54,3 +56,41 @@ def test_rate_helpers():
     assert units.mbps(5) == 5e6
     assert units.ghz(3.1) == pytest.approx(3.1e9)
     assert units.mhz(800) == pytest.approx(0.8e9)
+
+
+def _old_transmission_delay_ns(size_bytes, bandwidth_bps):
+    if size_bytes <= 0:
+        return 0
+    return max(1, round(size_bytes * units.BITS_PER_BYTE / bandwidth_bps * units.SEC))
+
+
+def _old_cycles_to_ns(cycles, freq_hz):
+    if cycles <= 0:
+        return 0
+    return max(1, round(cycles / freq_hz * units.SEC))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    size_bytes=st.integers(min_value=-64, max_value=10_000_000),
+    bandwidth_bps=st.floats(min_value=1e3, max_value=1e13),
+)
+def test_transmission_delay_matches_max_round_formula(size_bytes, bandwidth_bps):
+    got = units.transmission_delay_ns(size_bytes, bandwidth_bps)
+    assert got == _old_transmission_delay_ns(size_bytes, bandwidth_bps)
+    assert type(got) is int
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cycles=st.one_of(
+        st.floats(min_value=-1e6, max_value=1e10),
+        st.integers(min_value=-10, max_value=10**9),
+    ),
+    freq_hz=st.floats(min_value=1e6, max_value=1e10),
+)
+def test_cycles_to_ns_matches_max_round_formula(cycles, freq_hz):
+    got = units.cycles_to_ns(cycles, freq_hz)
+    assert got == _old_cycles_to_ns(cycles, freq_hz)
+    assert type(got) is int
+    assert (got == 0) == (cycles <= 0)
