@@ -1,8 +1,8 @@
 """Profiler overhead bench: the disabled path must stay free.
 
-The self-profiler swaps in an instrumented twin of the dispatch loop
-only when attached; with ``profile=None`` the only addition to
-``Simulator.run`` is one ``is None`` check per *call* (not per event).
+The self-profiler is called through hooks from ``Simulator.run``'s one
+dispatch loop; with ``profile=None`` the only addition to the loop is
+one ``is None`` check per *event*.
 This bench records the two acceptance measurements:
 
 - **disabled**: headline wall time (Apache / ncap.cons @ 24K RPS, quick
@@ -89,6 +89,7 @@ def test_profiler_overhead(save_report):
     # Quiet-machine target for the disabled path is <= 1.02; the CI
     # bound is generous to tolerate shared runners.
     assert disabled_ratio < 1.5
-    # The instrumented loop adds one perf_counter read + dict upkeep
-    # per event; keep it cheap enough to leave on during sweeps.
+    # The profiler hooks add a method call, one perf_counter read and
+    # dict upkeep per event; keep them cheap enough to leave on during
+    # sweeps.
     assert enabled_ratio < 2.0

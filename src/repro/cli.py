@@ -585,6 +585,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
     print()
     print(format_table(["metric", "value"], rows, title="Loop health"))
     if args.stacks_out:
+        import os
+
+        out_dir = os.path.dirname(args.stacks_out)
+        if out_dir:
+            os.makedirs(out_dir, exist_ok=True)
         with open(args.stacks_out, "w", encoding="utf-8") as fh:
             fh.write(collapsed_stacks(profile))
         print(f"wrote collapsed stacks to {args.stacks_out} "

@@ -10,7 +10,7 @@ window), and a drain window so in-flight requests can complete.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.analysis.attribution import AttributionReport, AttributionSink
 from repro.analysis.audit import InvariantAuditor
@@ -182,14 +182,9 @@ class Cluster:
         watchpoints: Optional[Iterable[Watchpoint]] = None,
         profile: Union[None, bool, SimProfiler] = None,
         energy_attribution: bool = False,
-        sim_factory: Optional[Callable[[], Simulator]] = None,
     ):
         self.config = config
-        #: ``sim_factory`` is an observer-style knob like ``profile=`` —
-        #: never a config field: it must not change results (the parity
-        #: tests prove it) so it must not invalidate cached ones.  Used
-        #: to rerun experiments on the retained HeapScheduler reference.
-        self.sim = sim_factory() if sim_factory is not None else Simulator()
+        self.sim = Simulator()
         #: Simulator self-profiler — an observer like sinks/audit, never
         #: a config field (mirroring ``record_timeseries=``): attaching
         #: it must not invalidate cached results.
@@ -460,7 +455,7 @@ def run_experiment(
     flight recorder and populates ``result.timeseries``; ``watchpoints``
     arms :class:`~repro.telemetry.triggers.Watchpoint` triggers on it.
     ``profile`` (``True`` or a :class:`~repro.profiling.SimProfiler`)
-    swaps in the instrumented dispatch loop and populates
+    attaches the dispatch-loop profiler and populates
     ``result.profile`` with per-handler wall-time attribution and heap
     health.  ``energy_attribution=True`` attaches the idle-accounting
     observer and populates ``result.energy_attribution`` with the

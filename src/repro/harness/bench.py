@@ -107,7 +107,7 @@ def run_suite(
 
     Each scenario runs once profiled (attribution + warmup), then its
     repeat count of times unprofiled for the wall-clock statistics, so
-    the timing never pays the instrumented loop's overhead.
+    the timing never pays the profiler hooks' overhead.
     """
     scenarios: Dict[str, Any] = {}
     for scenario in suite.scenarios:

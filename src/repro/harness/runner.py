@@ -10,6 +10,13 @@ order.
 
 Job-count resolution: explicit ``jobs`` argument, else the ``REPRO_JOBS``
 environment variable, else ``os.cpu_count()``.
+
+Failures: a run that raises fails the sweep with one ``RuntimeError``
+naming the spec (index/total, app, policy, load, seed), chained from the
+run's own exception.  The serial backend stops at the first failure; the
+pool backend lets the other submitted runs finish first.  Either way
+every run that succeeded is cached and reported to the progress hook
+before the error is raised, so a re-run resumes from the cache.
 """
 
 from __future__ import annotations
@@ -17,7 +24,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar, Union
+from functools import partial
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.cluster.simulation import run_experiment
 from repro.harness.cache import ResultCache
@@ -56,6 +64,14 @@ class RunProgress:
 
 
 ProgressHook = Callable[[RunProgress], None]
+
+
+def describe_spec(spec: RunSpec) -> str:
+    """``app/policy @ load, seed N`` — how errors name a sweep point."""
+    load = f"{spec.target_rps:g} rps"
+    if spec.load is not None:
+        load = f"{spec.load} ({load})"
+    return f"{spec.app}/{spec.policy_name} @ {load}, seed {spec.seed}"
 
 
 def execute_spec(spec: RunSpec) -> ResultRecord:
@@ -100,40 +116,71 @@ class Runner:
             else:
                 pending.append(i)
 
-        for i, record in zip(pending, self._execute(specs, pending)):
+        failures: List[Tuple[int, BaseException]] = []
+        for i, record, error in self._execute(specs, pending):
+            if error is not None:
+                failures.append((i, error))
+                continue
             if self.cache is not None:
                 self.cache.put(record)
             records[i] = record
             self._notify(i, total, specs[i], record, cached=False)
+        if failures:
+            i, error = failures[0]
+            more = f"; {len(failures) - 1} more failed" if len(failures) > 1 else ""
+            raise RuntimeError(
+                f"run {i + 1}/{total} ({describe_spec(specs[i])}) failed: "
+                f"{error!r}{more}"
+            ) from error
 
         return [r for r in records if r is not None]
 
     def _execute(
         self, specs: Sequence[RunSpec], pending: Sequence[int]
-    ) -> Iterable[ResultRecord]:
-        """Records for ``pending`` indices, yielded in ``pending`` order."""
+    ) -> Iterator[Tuple[int, Optional[ResultRecord], Optional[BaseException]]]:
+        """``(index, record, error)`` for ``pending`` indices, in
+        ``pending`` order; exactly one of ``record``/``error`` is set.
+        The serial backend stops after the first error."""
         if self.jobs <= 1 or len(pending) <= 1:
             for i in pending:
-                yield execute_spec(specs[i])
+                try:
+                    record = execute_spec(specs[i])
+                except Exception as exc:
+                    yield i, None, exc
+                    return
+                yield i, record, None
             return
         with ProcessPoolExecutor(max_workers=min(self.jobs, len(pending))) as pool:
-            futures = [pool.submit(execute_spec, specs[i]) for i in pending]
-            for future in futures:
-                yield future.result()
+            futures = [(i, pool.submit(execute_spec, specs[i])) for i in pending]
+            for i, future in futures:
+                try:
+                    record = future.result()
+                except Exception as exc:
+                    yield i, None, exc
+                else:
+                    yield i, record, None
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
         """Parallel map for experiment tasks that are not plain configs.
 
         ``fn`` must be a module-level (picklable) callable and the items
         and results picklable values.  Results come back in item order;
-        no caching is applied.
+        no caching is applied.  A failing item raises a ``RuntimeError``
+        naming its index, chained from the item's exception.
         """
         items = list(items)
-        if self.jobs <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        with ProcessPoolExecutor(max_workers=min(self.jobs, len(items))) as pool:
+        total = len(items)
+        if self.jobs <= 1 or total <= 1:
+            return [
+                _call_item(idx, total, partial(fn, item))
+                for idx, item in enumerate(items)
+            ]
+        with ProcessPoolExecutor(max_workers=min(self.jobs, total)) as pool:
             futures = [pool.submit(fn, item) for item in items]
-            return [future.result() for future in futures]
+            return [
+                _call_item(idx, total, future.result)
+                for idx, future in enumerate(futures)
+            ]
 
     def _notify(
         self, index: int, total: int, spec: RunSpec, record: ResultRecord,
@@ -141,6 +188,13 @@ class Runner:
     ) -> None:
         if self.progress is not None:
             self.progress(RunProgress(index, total, spec, record, cached))
+
+
+def _call_item(index: int, total: int, call: Callable[[], R]) -> R:
+    try:
+        return call()
+    except Exception as exc:
+        raise RuntimeError(f"item {index + 1}/{total} failed: {exc!r}") from exc
 
 
 def run_sweep(

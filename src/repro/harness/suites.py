@@ -3,14 +3,11 @@
 Each scenario is a plain callable ``fn(profiler) -> ScenarioStats``: it
 builds its own :class:`~repro.sim.kernel.Simulator` (attaching the
 profiler when given one), runs the workload, and reports event/counter
-totals.  Kernel scenarios also take a ``sim_cls`` keyword so the
-differential-parity tests can rerun them on the retained
-:class:`~repro.sim.kernel.HeapScheduler` reference.  The ``micro``
-suite covers the simulation substrate (batched event kernel, timer
-re-arm/cancel churn, a single-event timer chain, schedule_many burst
-fan-out, NIC rx path, a short cluster run); the ``telemetry`` suite
-times the headline experiment with and without the opt-in
-attribution/audit observers — the macro measurements
+totals.  The ``micro`` suite covers the simulation substrate (batched
+event kernel, timer re-arm/cancel churn, a single-event timer chain,
+schedule_many burst fan-out, NIC rx path, a short cluster run); the
+``telemetry`` suite times the headline experiment with and without the
+opt-in attribution/audit observers — the macro measurements
 ``benchmarks/bench_telemetry_overhead.py`` renders its report from.
 """
 
@@ -38,16 +35,14 @@ def _kernel_stats(sim: Simulator, **counters: float) -> ScenarioStats:
     )
 
 
-def event_kernel(
-    profiler: Optional[SimProfiler], sim_cls: type = Simulator
-) -> ScenarioStats:
+def event_kernel(profiler: Optional[SimProfiler]) -> ScenarioStats:
     """100K events as chained same-timestamp batches — peak dispatch rate.
 
     500 rounds of ``schedule_batch(10, 200, tick)``: the shape the
     vectorized burst clients feed the kernel, and the scenario behind
     the headline events/s claim.
     """
-    sim = sim_cls()
+    sim = Simulator()
     if profiler is not None:
         sim.set_profiler(profiler)
     count = [0]
@@ -67,9 +62,7 @@ def event_kernel(
     return _kernel_stats(sim)
 
 
-def cancel_churn(
-    profiler: Optional[SimProfiler], sim_cls: type = Simulator
-) -> ScenarioStats:
+def cancel_churn(profiler: Optional[SimProfiler]) -> ScenarioStats:
     """Timer re-arm/cancel churn: 40K batched ticks re-arming a
     far-future timer every 8th tick, plus interior + tail cancels every
     round (~5K re-arms and 1.6K explicit cancels per run).
@@ -80,7 +73,7 @@ def cancel_churn(
     machinery hot) and tail events (eager unlink).  The counters pin
     all three cancellation paths as well as their cost.
     """
-    sim = sim_cls()
+    sim = Simulator()
     if profiler is not None:
         sim.set_profiler(profiler)
     count = [0]
@@ -118,16 +111,14 @@ def cancel_churn(
     return _kernel_stats(sim, final_heap=sim.heap_size())
 
 
-def chained_timers(
-    profiler: Optional[SimProfiler], sim_cls: type = Simulator
-) -> ScenarioStats:
+def chained_timers(profiler: Optional[SimProfiler]) -> ScenarioStats:
     """100K chained single events — the pre-batch dispatch baseline.
 
     One event in flight at a time, rescheduling itself: the worst case
     for any calendar scheduler (no batching to amortize) and the shape
     of the old ``event_kernel`` scenario, kept for continuity.
     """
-    sim = sim_cls()
+    sim = Simulator()
     if profiler is not None:
         sim.set_profiler(profiler)
     count = [0]
@@ -143,12 +134,10 @@ def chained_timers(
     return _kernel_stats(sim)
 
 
-def burst_fanout(
-    profiler: Optional[SimProfiler], sim_cls: type = Simulator
-) -> ScenarioStats:
+def burst_fanout(profiler: Optional[SimProfiler]) -> ScenarioStats:
     """50 bursts of 2000 arrivals via ``schedule_many`` — the vectorized
     open-loop client's bulk path, timestamps spread inside each burst."""
-    sim = sim_cls()
+    sim = Simulator()
     if profiler is not None:
         sim.set_profiler(profiler)
     seen = [0]

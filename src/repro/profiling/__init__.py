@@ -3,10 +3,11 @@
 The rest of the repo observes the simulated system (telemetry, critical
 paths, flight recorder); this package observes the simulator.  A
 :class:`SimProfiler` attached via
-:meth:`repro.sim.kernel.Simulator.set_profiler` swaps in an instrumented
-dispatch loop that attributes wall time and event counts to each handler
-(keyed by callable qualname and owner subsystem) and tracks event-heap
-health — zero overhead when not attached.
+:meth:`repro.sim.kernel.Simulator.set_profiler` is called through hooks
+by the kernel's one dispatch loop; it attributes wall time and event
+counts to each handler (keyed by callable qualname and owner subsystem)
+and tracks event-queue health.  Detached, it costs the loop one
+``is None`` check per event.
 
 Exporters turn a finished :class:`LoopProfile` into a top-N handler
 table, collapsed-stack text for flamegraph tooling, and a wall-clock

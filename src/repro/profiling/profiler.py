@@ -1,14 +1,18 @@
 """The event-loop profiler: per-handler wall-time attribution.
 
 A :class:`SimProfiler` is attached to a
-:class:`~repro.sim.kernel.Simulator` with ``sim.set_profiler(...)``; the
-kernel then dispatches through its instrumented loop, which charges the
-full wall-clock cost of each iteration (heap pop + dispatch + callback)
-to the handler that fired, so the per-handler totals telescope to the
-measured loop total.  Cancelled-event lazy-deletion pops are charged to
-a dedicated bucket.  Attribution state accumulates across ``run()``
-calls; :meth:`SimProfiler.profile` snapshots it into an immutable,
-picklable :class:`LoopProfile`.
+:class:`~repro.sim.kernel.Simulator` with ``sim.set_profiler(...)``.
+The kernel's one dispatch loop then calls four hooks and nothing else:
+:meth:`SimProfiler._begin` and :meth:`SimProfiler._end` at the loop
+edges, :meth:`SimProfiler._charge` after each handler fires (once per
+batch entry), and :meth:`SimProfiler._cancelled` per cancelled-event
+pop.  How the loop is timed is decided here alone: each hook reads the
+timer once and charges the interval since the previous reading — bucket
+bookkeeping, the handler and the previous hook's accounting — to the
+handler that fired (or to a dedicated cancelled-pop bucket), so the
+per-handler totals telescope to the measured loop total.  Attribution
+state accumulates across ``run()`` calls; :meth:`SimProfiler.profile`
+snapshots it into an immutable, picklable :class:`LoopProfile`.
 
 Handlers are keyed by the callable itself during the run (one dict
 lookup per event) and folded into ``(qualname, subsystem)`` aggregates
@@ -22,6 +26,7 @@ from __future__ import annotations
 import functools
 import sys
 from dataclasses import dataclass, field
+from time import perf_counter_ns
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: Bump when the serialized profile payload changes shape.
@@ -84,7 +89,7 @@ class LoopProfile:
 
     #: Per-handler attribution, sorted by descending wall time.
     handlers: List[HandlerStats] = field(default_factory=list)
-    #: Total wall time spent inside the instrumented loop(s).
+    #: Total wall time spent inside the profiled ``run()`` loop(s).
     loop_wall_ns: int = 0
     #: Wall time charged to lazy-deletion pops of cancelled events.
     cancelled_wall_ns: int = 0
@@ -187,9 +192,9 @@ class LoopProfile:
 class SimProfiler:
     """Accumulates dispatch-loop attribution for one or more ``run()`` calls.
 
-    The hot-loop-facing fields (``_record``, ``_countdown``, the public
-    counters) are deliberately plain attributes the kernel mutates
-    directly — the instrumented loop must stay tight.
+    The kernel touches nothing here but the four hooks; all timing state
+    (the previous timer reading, ``_record``, ``_countdown``, the
+    counters and checkpoints) is the profiler's own.
     """
 
     def __init__(self, checkpoint_every: int = 50_000, fold_threshold: int = 4096):
@@ -205,6 +210,10 @@ class SimProfiler:
         self._agg: Dict[Tuple[str, str], List[int]] = {}
         self._countdown = checkpoint_every
         self._wall0_ns: Optional[int] = None
+        #: Timer reading at the start of the current ``run()``.
+        self._loop_start_ns = 0
+        #: Previous timer reading; the next hook charges from here.
+        self._t_prev = 0
         self._sim_ns0: Optional[int] = None
         self._counters0: Dict[str, int] = {}
         self.loop_wall_ns = 0
@@ -221,35 +230,63 @@ class SimProfiler:
 
     # -- kernel-facing hooks --------------------------------------------
 
-    def _checkpoint(self, sim_now: int) -> None:
-        from time import perf_counter_ns
+    def _begin(self, sim) -> None:
+        """Loop start.  The first profiled run also baselines the
+        simulator's lifetime counters, so the profile reports deltas,
+        not totals that predate the profiler."""
+        now = perf_counter_ns()
+        if self._wall0_ns is None:
+            self._wall0_ns = now
+            self._sim_ns0 = sim.now
+            self._counters0 = {
+                "compactions": sim.compactions,
+                "compacted_events": sim.compacted_events,
+                "cancelled_unlinked": sim.cancelled_unlinked,
+            }
+        self._loop_start_ns = now
+        self._t_prev = now
 
-        wall = perf_counter_ns() - (self._wall0_ns or 0)
-        self.checkpoints.append((wall, sim_now, self.events))
+    def _charge(self, fn: Callable[..., Any], calls: int, depth: int, now: int) -> None:
+        """``calls`` invocations of ``fn`` just fired at sim time ``now``
+        with ``depth`` call units still queued."""
+        t = perf_counter_ns()
+        elapsed = t - self._t_prev
+        self._t_prev = t
+        record = self._record
+        entry = record.get(fn)
+        if entry is None:
+            record[fn] = [calls, elapsed]
+            if len(record) >= self.fold_threshold:
+                self._fold()
+        else:
+            entry[0] += calls
+            entry[1] += elapsed
+        self.events += calls
+        if depth > self.max_heap_depth:
+            self.max_heap_depth = depth
+        self._countdown -= calls
+        if self._countdown <= 0:
+            self.checkpoints.append((t - self._wall0_ns, now, self.events))
+            self._countdown = self.checkpoint_every
 
-    def _note_start(self, sim, wall_ns: int) -> None:
-        """Called by the kernel at the start of the first profiled run:
-        baseline the simulator's lifetime counters so the profile reports
-        deltas, not totals that predate the profiler."""
-        self._wall0_ns = wall_ns
-        self._sim_ns0 = sim.now
-        self._counters0 = {
-            "compactions": sim.compactions,
-            "compacted_events": sim.compacted_events,
-            "cancelled_unlinked": getattr(sim, "cancelled_unlinked", 0),
-        }
+    def _cancelled(self) -> None:
+        """One cancelled tombstone was popped."""
+        t = perf_counter_ns()
+        self.cancelled_wall_ns += t - self._t_prev
+        self._t_prev = t
+        self.cancelled_pops += 1
 
-    def _note_run(self, sim) -> None:
-        """Called by the kernel at the end of each profiled ``run()``."""
-        self._sim_ns = sim.now - (self._sim_ns0 or 0)
+    def _end(self, sim) -> None:
+        """Loop end (normal, stopped or raising)."""
+        self.loop_wall_ns += perf_counter_ns() - self._loop_start_ns
+        self._sim_ns = sim.now - self._sim_ns0
         self._final_heap_size = sim.heap_size()
-        self._compactions = sim.compactions - self._counters0.get("compactions", 0)
-        self._compacted_events = (
-            sim.compacted_events - self._counters0.get("compacted_events", 0)
+        counters0 = self._counters0
+        self._compactions = sim.compactions - counters0["compactions"]
+        self._compacted_events = sim.compacted_events - counters0["compacted_events"]
+        self._cancelled_unlinked = (
+            sim.cancelled_unlinked - counters0["cancelled_unlinked"]
         )
-        self._cancelled_unlinked = getattr(
-            sim, "cancelled_unlinked", 0
-        ) - self._counters0.get("cancelled_unlinked", 0)
 
     def _fold(self) -> None:
         """Collapse the per-callable dict into the string-keyed aggregate."""

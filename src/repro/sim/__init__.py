@@ -1,6 +1,6 @@
 """Discrete-event simulation substrate: kernel, units, RNG, tracing."""
 
-from repro.sim.kernel import Event, HeapScheduler, SimulationError, Simulator
+from repro.sim.kernel import Event, SimulationError, Simulator
 from repro.sim.rng import RngRegistry, derive_seed
 from repro.sim.trace import (
     CounterChannel,
@@ -12,7 +12,6 @@ from repro.sim import units
 
 __all__ = [
     "Event",
-    "HeapScheduler",
     "SimulationError",
     "Simulator",
     "RngRegistry",

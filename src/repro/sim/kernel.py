@@ -4,25 +4,21 @@ The kernel is a two-tier calendar queue (a timing-wheel / calendar-queue
 hybrid) with same-timestamp batch dispatch:
 
 - :class:`Event` — a scheduled callback, cancellable in O(1).
-- :class:`Simulator` — the production scheduler.  Near-future events
-  (before the *overflow horizon*) live in exact-timestamp buckets — a
-  dict keyed by firing time plus an int min-heap of bucket times — so
-  the inner loop pops one integer per *timestamp*, not one Python object
-  per *event*.  Far-future events (at or past the horizon) sit in an
+- :class:`Simulator` — the scheduler.  Near-future events (before the
+  *overflow horizon*) live in exact-timestamp buckets — a dict keyed by
+  firing time plus an int min-heap of bucket times — so the inner loop
+  pops one integer per *timestamp*, not one Python object per *event*.  Far-future events (at or past the horizon) sit in an
   unsorted overflow list with O(1) append and O(1) tail removal; the
   overflow is sorted and folded into the wheel only when the wheel
   drains, advancing the horizon.
-- :class:`HeapScheduler` — the classic binary-heap scheduler the wheel
-  replaced, retained as the differential-parity reference.  Same API,
-  same observable behaviour (event order, seq consumption, results).
 
 The clock: ``sim.now`` is a plain integer attribute, not a property —
 models read it on every job and frame, and an attribute load is several
-times cheaper than a property call.  Only the dispatch loops
-(:meth:`Simulator.run`, :meth:`Simulator._run_profiled` and the
-``until`` advance at their end) write it; nothing else may.
+times cheaper than a property call.  Only the dispatch loop
+(:meth:`Simulator.run`, and the ``until`` advance at its end) writes it;
+nothing else may.
 
-Determinism guarantees (both schedulers):
+Determinism guarantees:
 
 - Time is an integer; no float drift can reorder events.
 - Ties at the same timestamp fire in scheduling order (a monotonically
@@ -56,19 +52,18 @@ simulator counts live tombstones and compacts all tiers in place —
 O(n), order preserving — once they exceed
 :attr:`Simulator.COMPACT_FRACTION` of the queue.
 
-Self-profiling: :meth:`Simulator.set_profiler` swaps the dispatch loop
-for an instrumented twin (:meth:`Simulator._run_profiled`) that
-attributes wall-clock time to each handler — one timer read per single
-event, one per *batch* for batch entries (the whole interval is charged
-to the batch's handler, so attribution still telescopes to the loop
-total).  The uninstrumented loop is untouched — with no profiler
-attached the only cost is one ``is None`` check per ``run()`` call.
+Self-profiling: :meth:`Simulator.set_profiler` attaches a
+:class:`~repro.profiling.profiler.SimProfiler`, which :meth:`Simulator.run`
+reads once per call.  The one dispatch loop then calls the profiler's
+hooks — ``_charge`` after each handler (once per *batch* for batch
+entries), ``_cancelled`` per tombstone pop, ``_begin``/``_end`` at the
+loop edges — and the profiler owns all the timing state.  With no
+profiler attached the cost is one ``is None`` check per event.
 """
 
 from __future__ import annotations
 
 import heapq
-from time import perf_counter_ns
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -113,11 +108,6 @@ class Event:
             self.cancelled = True
             if self.owner is not None:
                 self.owner._note_cancel(self)
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -519,8 +509,8 @@ class Simulator:
     def set_profiler(self, profiler: Optional["SimProfiler"]) -> None:
         """Attach (or detach, with ``None``) a dispatch-loop profiler.
 
-        Subsequent :meth:`run` calls go through the instrumented loop,
-        which attributes wall time per handler into ``profiler``.
+        Subsequent :meth:`run` calls charge each handler's wall time
+        into ``profiler`` through its hooks.
         """
         self._profiler = profiler
 
@@ -547,17 +537,20 @@ class Simulator:
         Returns the final simulated time.  When ``until`` is given, the
         clock is advanced to exactly ``until`` even if the last event fired
         earlier (so rate/energy integrations over the window are exact).
+        The profiler is read once here: :meth:`set_profiler` called from a
+        handler takes effect at the next ``run()``.
         """
         if self._running:
             raise SimulationError("simulator is already running")
-        if self._profiler is not None:
-            return self._run_profiled(until)
+        prof = self._profiler
         self._running = True
         self._stopped = False
         wheel = self._wheel
         due = self._due
         pop_due = heapq.heappop
         executed = self.events_executed
+        if prof is not None:
+            prof._begin(self)
         try:
             while not self._stopped:
                 if not due:
@@ -576,8 +569,7 @@ class Simulator:
                 del wheel[time]
                 # Drain leading tombstones before touching the clock: a
                 # bucket that turns out to be all-cancelled must not
-                # advance ``now`` (parity with the heap, where cancelled
-                # pops never set the clock).
+                # advance ``now`` (cancelled pops never set the clock).
                 i = 0
                 n = len(bucket)
                 consumed = 0
@@ -590,132 +582,8 @@ class Simulator:
                     self.cancelled_pops += 1
                     if self._cancelled_in_heap > 0:
                         self._cancelled_in_heap -= 1
-                if i == n:
-                    self._size -= consumed
-                    continue
-                self.now = time
-                try:
-                    while i < n:
-                        e = bucket[i]
-                        cls = e.__class__
-                        if cls is _TUPLE:
-                            i += 1
-                            consumed += 1
-                            executed += 1
-                            e[0](*e[1])
-                            if self._stopped:
-                                break
-                        elif cls is _Batch:
-                            fn = e.fn
-                            args = e.args
-                            k = e.count
-                            j = 0
-                            try:
-                                while j < k:
-                                    fn(*args)
-                                    j += 1
-                                    if self._stopped:
-                                        break
-                            finally:
-                                consumed += j
-                                executed += j
-                                if j < k:
-                                    e.count = k - j
-                            if j < k:
-                                break  # stopped mid-batch; e stays at bucket[i]
-                            i += 1
-                            if self._stopped:
-                                break
-                        else:
-                            i += 1
-                            if e.cancelled:
-                                consumed += 1
-                                self.cancelled_pops += 1
-                                if self._cancelled_in_heap > 0:
-                                    self._cancelled_in_heap -= 1
-                                continue
-                            e._queued = False
-                            consumed += 1
-                            executed += 1
-                            e.fn(*e.args)
-                            if self._stopped:
-                                break
-                finally:
-                    self.events_executed = executed
-                    self._size -= consumed
-                    if i < n:
-                        self._requeue(time, bucket[i:])
-            if until is not None and self.now < until and not self._stopped:
-                self.now = until
-        finally:
-            self.events_executed = executed
-            self._running = False
-        return self.now
-
-    def _run_profiled(self, until: Optional[int] = None) -> int:
-        """Instrumented twin of :meth:`run`.
-
-        Identical event semantics; additionally attributes wall time per
-        handler.  One ``perf_counter_ns()`` reading per single event and
-        one per *batch* entry: each handler is charged the interval from
-        the previous reading to the one taken right after it fires
-        (bucket bookkeeping and the *previous* iteration's accounting
-        included), so the per-handler totals plus the cancelled-pop
-        bucket telescope to the measured loop total.
-        """
-        profiler = self._profiler
-        self._running = True
-        self._stopped = False
-        perf = perf_counter_ns
-        record = profiler._record
-        checkpoint = profiler._checkpoint
-        every = profiler.checkpoint_every
-        countdown = profiler._countdown
-        max_depth = profiler.max_heap_depth
-        cancelled_ns = 0
-        loop_start = perf()
-        if profiler._wall0_ns is None:
-            profiler._note_start(self, loop_start)
-        t_prev = loop_start
-        wheel = self._wheel
-        due = self._due
-        pop_due = heapq.heappop
-        executed = self.events_executed
-        try:
-            while not self._stopped:
-                if not due:
-                    if not self._overflow:
-                        break
-                    self._migrate()
-                    continue
-                time = due[0]
-                bucket = wheel.get(time)
-                if bucket is None:
-                    pop_due(due)
-                    continue
-                if until is not None and time > until:
-                    break
-                pop_due(due)
-                del wheel[time]
-                # Mirror run(): drain leading tombstones (charged to the
-                # cancelled bucket) before the clock moves, so an
-                # all-cancelled bucket never advances ``now``.
-                i = 0
-                n = len(bucket)
-                consumed = 0
-                while i < n:
-                    e = bucket[i]
-                    if e.__class__ is not _EVENT or not e.cancelled:
-                        break
-                    i += 1
-                    consumed += 1
-                    self.cancelled_pops += 1
-                    profiler.cancelled_pops += 1
-                    if self._cancelled_in_heap > 0:
-                        self._cancelled_in_heap -= 1
-                    t_now = perf()
-                    cancelled_ns += t_now - t_prev
-                    t_prev = t_now
+                    if prof is not None:
+                        prof._cancelled()
                 if i == n:
                     self._size -= consumed
                     continue
@@ -730,20 +598,10 @@ class Simulator:
                             executed += 1
                             fn = e[0]
                             fn(*e[1])
-                            t_now = perf()
-                            elapsed = t_now - t_prev
-                            t_prev = t_now
-                            entry = record.get(fn)
-                            if entry is None:
-                                record[fn] = [1, elapsed]
-                                if len(record) >= profiler.fold_threshold:
-                                    profiler._fold()
-                            else:
-                                entry[0] += 1
-                                entry[1] += elapsed
-                            profiler.events += 1
-                            countdown -= 1
-                            stopped = self._stopped
+                            if prof is not None:
+                                prof._charge(fn, 1, self._size - consumed, time)
+                            if self._stopped:
+                                break
                         elif cls is _Batch:
                             fn = e.fn
                             args = e.args
@@ -760,62 +618,32 @@ class Simulator:
                                 executed += j
                                 if j < k:
                                     e.count = k - j
-                            t_now = perf()
-                            elapsed = t_now - t_prev
-                            t_prev = t_now
-                            entry = record.get(fn)
-                            if entry is None:
-                                record[fn] = [j, elapsed]
-                                if len(record) >= profiler.fold_threshold:
-                                    profiler._fold()
-                            else:
-                                entry[0] += j
-                                entry[1] += elapsed
-                            profiler.events += j
-                            countdown -= j
+                            if prof is not None:
+                                prof._charge(fn, j, self._size - consumed, time)
                             if j < k:
-                                break
+                                break  # stopped mid-batch; e stays at bucket[i]
                             i += 1
-                            stopped = self._stopped
+                            if self._stopped:
+                                break
                         else:
                             i += 1
                             if e.cancelled:
                                 consumed += 1
                                 self.cancelled_pops += 1
-                                profiler.cancelled_pops += 1
                                 if self._cancelled_in_heap > 0:
                                     self._cancelled_in_heap -= 1
-                                t_now = perf()
-                                cancelled_ns += t_now - t_prev
-                                t_prev = t_now
+                                if prof is not None:
+                                    prof._cancelled()
                                 continue
                             e._queued = False
                             consumed += 1
                             executed += 1
                             fn = e.fn
                             fn(*e.args)
-                            t_now = perf()
-                            elapsed = t_now - t_prev
-                            t_prev = t_now
-                            entry = record.get(fn)
-                            if entry is None:
-                                record[fn] = [1, elapsed]
-                                if len(record) >= profiler.fold_threshold:
-                                    profiler._fold()
-                            else:
-                                entry[0] += 1
-                                entry[1] += elapsed
-                            profiler.events += 1
-                            countdown -= 1
-                            stopped = self._stopped
-                        depth = self._size - consumed
-                        if depth > max_depth:
-                            max_depth = depth
-                        if countdown <= 0:
-                            checkpoint(self.now)
-                            countdown = every
-                        if stopped:
-                            break
+                            if prof is not None:
+                                prof._charge(fn, 1, self._size - consumed, time)
+                            if self._stopped:
+                                break
                 finally:
                     self.events_executed = executed
                     self._size -= consumed
@@ -826,12 +654,8 @@ class Simulator:
         finally:
             self.events_executed = executed
             self._running = False
-            loop_wall = perf() - loop_start
-            profiler.loop_wall_ns += loop_wall
-            profiler.cancelled_wall_ns += cancelled_ns
-            profiler.max_heap_depth = max_depth
-            profiler._countdown = countdown
-            profiler._note_run(self)
+            if prof is not None:
+                prof._end(self)
         return self.now
 
     def peek_next_time(self) -> Optional[int]:
@@ -895,254 +719,3 @@ class Simulator:
                 total += 1
         return total
 
-
-class HeapScheduler:
-    """The classic binary-heap scheduler, retained as the parity reference.
-
-    Byte-for-byte the pre-wheel dispatch semantics (lazy cancellation,
-    in-place compaction, one heap pop per event), extended with naive
-    equivalents of the wheel's bulk API — same sequence-number
-    consumption, so event order is bit-identical to :class:`Simulator`
-    and differential tests can diff the two directly.
-    """
-
-    COMPACT_FRACTION = 0.5
-    COMPACT_MIN_SIZE = 64
-
-    def __init__(self) -> None:
-        self._heap: List[Event] = []
-        #: Current simulated time in ns; only the dispatch loops write it.
-        self.now: int = 0
-        self._seq: int = 0
-        self._running = False
-        self._stopped = False
-        self._profiler: Optional["SimProfiler"] = None
-        self.events_executed: int = 0
-        #: Cancelled events lazily discarded off the top of the heap.
-        self.cancelled_pops: int = 0
-        #: The heap has no unlink fast path; kept for a uniform stats API.
-        self.cancelled_unlinked: int = 0
-        #: In-place heap rebuilds triggered by cancellation pressure.
-        self.compactions: int = 0
-        #: Cancelled events removed by those compactions.
-        self.compacted_events: int = 0
-        #: Best-effort count of cancelled events still in the heap.  May
-        #: overcount when an already-fired event is cancelled; compaction
-        #: re-derives the truth.
-        self._cancelled_in_heap: int = 0
-
-    # -- scheduling ------------------------------------------------------
-
-    def schedule(self, delay: int, fn: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` to run ``delay`` ns from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay} ns in the past")
-        return self.schedule_at(self.now + int(delay), fn, *args)
-
-    def schedule_at(self, time: int, fn: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at absolute simulated ``time`` ns."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at t={time} ns; now is t={self.now} ns"
-            )
-        self._seq += 1
-        event = Event(int(time), self._seq, fn, args, self)
-        heapq.heappush(self._heap, event)
-        return event
-
-    def call_now(self, fn: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at the current time (after pending ties)."""
-        return self.schedule_at(self.now, fn, *args)
-
-    def schedule_many(
-        self, times: Iterable[int], fn: Callable[..., None], *args: Any
-    ) -> int:
-        """Naive loop equivalent of :meth:`Simulator.schedule_many`."""
-        n = 0
-        for t in times:
-            self.schedule_at(int(t), fn, *args)
-            n += 1
-        return n
-
-    def schedule_batch(
-        self, delay: int, count: int, fn: Callable[..., None], *args: Any
-    ) -> int:
-        """Naive loop equivalent of :meth:`Simulator.schedule_batch`."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay} ns in the past")
-        if count <= 0:
-            raise SimulationError(f"batch count must be positive, got {count}")
-        time = self.now + int(delay)
-        for _ in range(count):
-            self.schedule_at(time, fn, *args)
-        return count
-
-    def reschedule(self, event: Event, delay: int) -> Event:
-        """Cancel-plus-schedule equivalent of :meth:`Simulator.reschedule`."""
-        if event._queued and not event.cancelled:
-            event.cancel()
-        return self.schedule(delay, event.fn, *event.args)
-
-    # -- heap hygiene ----------------------------------------------------
-
-    def heap_size(self) -> int:
-        """Entries currently in the heap, cancelled ones included."""
-        return len(self._heap)
-
-    @property
-    def cancelled_pending(self) -> int:
-        """Estimated cancelled events still occupying heap slots."""
-        return self._cancelled_in_heap
-
-    def _note_cancel(self, _event: Event) -> None:
-        self._cancelled_in_heap += 1
-        heap = self._heap
-        if (
-            len(heap) >= self.COMPACT_MIN_SIZE
-            and self._cancelled_in_heap >= len(heap) * self.COMPACT_FRACTION
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify, in place.
-
-        In place matters: the dispatch loops hold a local alias to the
-        heap list, so the list object must survive compaction.
-        """
-        heap = self._heap
-        before = len(heap)
-        heap[:] = [event for event in heap if not event.cancelled]
-        heapq.heapify(heap)
-        self.compactions += 1
-        self.compacted_events += before - len(heap)
-        self._cancelled_in_heap = 0
-
-    # -- execution -------------------------------------------------------
-
-    def stop(self) -> None:
-        """Stop the currently running :meth:`run` after the current event."""
-        self._stopped = True
-
-    def set_profiler(self, profiler: Optional["SimProfiler"]) -> None:
-        """Attach (or detach, with ``None``) a dispatch-loop profiler."""
-        self._profiler = profiler
-
-    @property
-    def profiler(self) -> Optional["SimProfiler"]:
-        return self._profiler
-
-    def run(self, until: Optional[int] = None) -> int:
-        """Run events until the heap empties or the clock passes ``until``."""
-        if self._running:
-            raise SimulationError("simulator is already running")
-        if self._profiler is not None:
-            return self._run_profiled(until)
-        self._running = True
-        self._stopped = False
-        try:
-            heap = self._heap
-            while heap and not self._stopped:
-                event = heap[0]
-                if event.cancelled:
-                    heapq.heappop(heap)
-                    event._queued = False
-                    self.cancelled_pops += 1
-                    self._cancelled_in_heap -= 1
-                    continue
-                if until is not None and event.time > until:
-                    break
-                heapq.heappop(heap)
-                event._queued = False
-                self.now = event.time
-                self.events_executed += 1
-                event.fn(*event.args)
-            if until is not None and self.now < until and not self._stopped:
-                self.now = until
-        finally:
-            self._running = False
-        return self.now
-
-    def _run_profiled(self, until: Optional[int] = None) -> int:
-        """Instrumented twin of :meth:`run` (one timer read per event)."""
-        profiler = self._profiler
-        self._running = True
-        self._stopped = False
-        perf = perf_counter_ns
-        record = profiler._record
-        checkpoint = profiler._checkpoint
-        every = profiler.checkpoint_every
-        countdown = profiler._countdown
-        max_depth = profiler.max_heap_depth
-        cancelled_ns = 0
-        loop_start = perf()
-        if profiler._wall0_ns is None:
-            profiler._note_start(self, loop_start)
-        t_prev = loop_start
-        try:
-            heap = self._heap
-            while heap and not self._stopped:
-                event = heap[0]
-                if event.cancelled:
-                    heapq.heappop(heap)
-                    event._queued = False
-                    self.cancelled_pops += 1
-                    self._cancelled_in_heap -= 1
-                    profiler.cancelled_pops += 1
-                    t_now = perf()
-                    cancelled_ns += t_now - t_prev
-                    t_prev = t_now
-                    continue
-                if until is not None and event.time > until:
-                    break
-                heapq.heappop(heap)
-                event._queued = False
-                self.now = event.time
-                self.events_executed += 1
-                event.fn(*event.args)
-                t_now = perf()
-                elapsed = t_now - t_prev
-                t_prev = t_now
-                entry = record.get(event.fn)
-                if entry is None:
-                    record[event.fn] = [1, elapsed]
-                    if len(record) >= profiler.fold_threshold:
-                        profiler._fold()
-                else:
-                    entry[0] += 1
-                    entry[1] += elapsed
-                depth = len(heap)
-                if depth > max_depth:
-                    max_depth = depth
-                profiler.events += 1
-                countdown -= 1
-                if countdown <= 0:
-                    checkpoint(self.now)
-                    countdown = every
-            if until is not None and self.now < until and not self._stopped:
-                self.now = until
-        finally:
-            self._running = False
-            loop_wall = perf() - loop_start
-            profiler.loop_wall_ns += loop_wall
-            profiler.cancelled_wall_ns += cancelled_ns
-            profiler.max_heap_depth = max_depth
-            profiler._countdown = countdown
-            profiler._note_run(self)
-        return self.now
-
-    def peek_next_time(self) -> Optional[int]:
-        """Timestamp of the next pending event, or None if the heap is empty.
-
-        Drains (physically pops) any cancelled events sitting at the top
-        of the heap on the way.
-        """
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-            self.cancelled_pops += 1
-            self._cancelled_in_heap -= 1
-        return heap[0].time if heap else None
-
-    def pending_count(self) -> int:
-        """Number of non-cancelled events still queued (O(n))."""
-        return sum(1 for event in self._heap if not event.cancelled)

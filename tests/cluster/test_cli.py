@@ -161,7 +161,8 @@ def _suites():
 
 class TestProfileCommand:
     def test_profile_reports_and_exports(self, capsys, tmp_path):
-        stacks = os.path.join(str(tmp_path), "stacks.txt")
+        # A not-yet-existing directory, as in CI's ``profile-stacks/``.
+        stacks = os.path.join(str(tmp_path), "profile-stacks", "stacks.txt")
         trace = os.path.join(str(tmp_path), "trace.json")
         code = main([
             "--settings", "quick", "profile", "headline",

@@ -199,6 +199,23 @@ class TestResultShape:
         )
         assert all(s.profile for s in result.shards)
 
+    def test_profiled_fleet_record_equals_plain(self):
+        # Per-shard profilers ride the shards' dispatch loops; the merged
+        # fleet record and the shard event counts must not notice them.
+        def fleet(**observers):
+            result = run_datacenter(client_config(n_shards=2), jobs=1, **observers)
+            record = result.record.to_json_dict()
+            record.pop("profile")
+            shards = [(s.shard_index, s.server_indices, s.events) for s in result.shards]
+            return json.dumps(record, sort_keys=True), shards, result.shards
+
+        plain, plain_shards, plain_stats = fleet()
+        profiled, profiled_shards, profiled_stats = fleet(profile=True)
+        assert not any(s.profile for s in plain_stats)
+        assert all(s.profile["events"] == s.events for s in profiled_stats)
+        assert profiled_shards == plain_shards
+        assert profiled == plain
+
     def test_merged_record_round_trips_through_schema(self):
         from repro.harness.record import ResultRecord
 

@@ -1,19 +1,23 @@
 """Runner determinism, process-pool parity, and the on-disk cache."""
 
 import json
+import multiprocessing
 import os
 
 import pytest
 
+import repro.harness.runner
 from repro.harness import (
     JOBS_ENV,
     ResultCache,
     RunSettings,
+    RunSpec,
     SweepSpec,
     resolve_jobs,
     run_sweep,
 )
-from repro.harness.runner import Runner
+from repro.harness.hashing import config_hash
+from repro.harness.runner import Runner, describe_spec
 from repro.sim.units import MS
 
 TINY = RunSettings(warmup_ns=5 * MS, measure_ns=40 * MS, drain_ns=30 * MS, seed=2)
@@ -93,6 +97,80 @@ class TestRunnerMechanics:
         fresh = ResultCache(str(tmp_path))
         assert fresh.get(records[0].config_hash) is None
         assert fresh.misses == 1
+
+
+def _fail_runs_at(monkeypatch, target_rps):
+    """Make every run at ``target_rps`` raise inside ``run_experiment``."""
+    real = repro.harness.runner.run_experiment
+
+    def flaky(config, **observers):
+        if config.target_rps == target_rps:
+            raise ZeroDivisionError("injected")
+        return real(config, **observers)
+
+    monkeypatch.setattr(repro.harness.runner, "run_experiment", flaky)
+
+
+def _reciprocal(x):
+    return 1 / x
+
+
+def _cached(cache, spec):
+    return cache.get(config_hash(spec.to_config())) is not None
+
+
+class TestFailures:
+    def test_serial_failure_names_spec_and_keeps_earlier_runs(
+        self, tmp_path, monkeypatch
+    ):
+        specs = SWEEP.expand()
+        _fail_runs_at(monkeypatch, specs[1].target_rps)
+        cache = ResultCache(str(tmp_path))
+        events = []
+        runner = Runner(jobs=1, cache=cache, progress=events.append)
+        with pytest.raises(RuntimeError) as info:
+            runner.run(specs)
+        assert "run 2/3 (apache/perf @ 30000 rps, seed 2) failed" in str(info.value)
+        assert "ZeroDivisionError('injected')" in str(info.value)
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+        # Fail fast: the run before is cached, the run after never ran.
+        assert [e.index for e in events] == [0]
+        assert [_cached(cache, spec) for spec in specs] == [True, False, False]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched run_experiment reaches pool workers only by fork",
+    )
+    def test_pool_failure_names_spec_and_caches_finished_runs(
+        self, tmp_path, monkeypatch
+    ):
+        specs = SWEEP.expand()
+        _fail_runs_at(monkeypatch, specs[0].target_rps)
+        cache = ResultCache(str(tmp_path))
+        events = []
+        runner = Runner(jobs=2, cache=cache, progress=events.append)
+        with pytest.raises(RuntimeError) as info:
+            runner.run(specs)
+        assert "run 1/3 (apache/perf @ 24000 rps, seed 2) failed" in str(info.value)
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+        assert [e.index for e in events] == [1, 2]
+        assert [_cached(cache, spec) for spec in specs] == [False, True, True]
+        # The re-run resumes: only the failed point is simulated again.
+        monkeypatch.undo()
+        rerun = ResultCache(str(tmp_path))
+        Runner(jobs=1, cache=rerun).run(specs)
+        assert rerun.hits == 2 and rerun.stores == 1
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_map_failure_names_item(self, jobs):
+        with pytest.raises(RuntimeError, match=r"item 2/3 failed") as info:
+            Runner(jobs=jobs).map(_reciprocal, [1, 0, 2])
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+    def test_describe_spec_names_load_label(self):
+        spec = RunSpec(app="memcached", policy="ncap.cons", target_rps=60_000.0,
+                       seed=7, load="low")
+        assert describe_spec(spec) == "memcached/ncap.cons @ low (60000 rps), seed 7"
 
 
 class TestSchemaInvalidation:

@@ -1,9 +1,13 @@
 """``profile=`` as a run observer: populated results, unchanged hashes."""
 
+import json
+
 import pytest
 
+from repro.apps.client import reset_request_ids
 from repro.cluster.simulation import Cluster, ExperimentConfig, run_experiment
 from repro.harness.hashing import config_hash
+from repro.harness.record import ResultRecord
 from repro.harness.settings import RunSettings
 from repro.profiling import SimProfiler
 from repro.sim.units import MS
@@ -55,8 +59,19 @@ class TestProfileObserver:
         assert not hasattr(config, "profile")
 
     def test_profiled_and_plain_runs_agree(self, config):
-        plain = run_experiment(config)
-        profiled = run_experiment(config, profile=True)
-        assert profiled.responses_received == plain.responses_received
-        assert profiled.latency.p99_ns == plain.latency.p99_ns
-        assert profiled.energy.energy_j == plain.energy.energy_j
+        # The profiler shares the one dispatch loop, so it must be a pure
+        # observer: the whole record, minus its own payload, is unchanged.
+        def record_json(**observers):
+            reset_request_ids()
+            result = run_experiment(config, **observers)
+            payload = ResultRecord.from_result(
+                result, config_hash(config), config.seed
+            ).to_json_dict()
+            profile = payload.pop("profile")
+            return json.dumps(payload, sort_keys=True), profile
+
+        plain, plain_profile = record_json()
+        profiled, profiled_profile = record_json(profile=True)
+        assert plain_profile == {}
+        assert profiled_profile["events"] > 0
+        assert profiled == plain

@@ -128,6 +128,41 @@ class TestAttribution:
         assert profiler.events == 1  # second run was unprofiled
         assert sim.events_executed == 2
 
+    def test_attach_from_handler_takes_effect_next_run(self):
+        # run() reads the profiler once: attaching mid-loop must not
+        # start charging half-way through the current run.
+        sim = Simulator()
+        profiler = SimProfiler()
+        sim.schedule(1, sim.set_profiler, profiler)
+        sim.schedule(2, lambda: None)
+        sim.run()
+        assert sim.profiler is profiler
+        assert profiler.events == 0
+        assert profiler.loop_wall_ns == 0
+        sim.schedule(10, lambda: None)
+        sim.run()
+        assert profiler.events == 1
+        assert profiler.loop_wall_ns > 0
+
+    def test_detach_from_handler_takes_effect_next_run(self):
+        # ... and detaching mid-loop still charges the rest of this run
+        # and closes it with a loop total the attribution telescopes to.
+        sim = Simulator()
+        profiler = SimProfiler()
+        sim.set_profiler(profiler)
+        sim.schedule(1, sim.set_profiler, None)
+        sim.schedule(2, lambda: None)
+        sim.schedule_batch(3, 4, lambda: None)
+        sim.run()
+        assert sim.profiler is None
+        assert profiler.events == 6
+        profile = profiler.profile()
+        assert 0 < profile.attributed_wall_ns <= profile.loop_wall_ns
+        sim.schedule(10, lambda: None)
+        sim.run()
+        assert profiler.events == 6
+        assert sim.events_executed == 7
+
     def test_fold_bounds_per_callable_memory(self):
         sim = Simulator()
         profiler = SimProfiler(fold_threshold=16)

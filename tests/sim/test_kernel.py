@@ -1,16 +1,17 @@
 """Tests for the discrete-event kernel.
 
 Most behavior is contractual and must hold for both the timing-wheel
-``Simulator`` and the retained ``HeapScheduler`` reference — those tests
-are parametrized over the ``sim_cls`` fixture.  Cancellation *accounting*
-(eager unlink vs lazy tombstone) is implementation-specific and pinned in
-the per-kernel classes at the bottom.
+``Simulator`` and the ``HeapScheduler`` oracle in ``tests/sim`` — those
+tests are parametrized over the ``sim_cls`` fixture.  Cancellation
+*accounting* (eager unlink vs lazy tombstone) is implementation-specific
+and pinned in the per-kernel classes at the bottom.
 """
 
 import pytest
 
 from repro.profiling.profiler import SimProfiler
-from repro.sim import HeapScheduler, SimulationError, Simulator
+from repro.sim import SimulationError, Simulator
+from tests.sim.heap_oracle import HeapScheduler
 
 
 @pytest.fixture(params=[Simulator, HeapScheduler], ids=["wheel", "heap"])
@@ -339,11 +340,23 @@ class TestReschedule:
 
 
 class TestClock:
-    """``now`` is a plain int attribute that only the dispatch loop writes."""
+    """``now`` is a plain int attribute that only the dispatch loop writes.
 
-    @pytest.fixture(params=[False, True], ids=["plain", "profiled"])
-    def clocked(self, request, sim):
-        if request.param:
+    The profiled variants run on the wheel only: the oracle has no
+    profiler hooks.
+    """
+
+    @pytest.fixture(
+        params=[
+            pytest.param((Simulator, False), id="plain-wheel"),
+            pytest.param((HeapScheduler, False), id="plain-heap"),
+            pytest.param((Simulator, True), id="profiled-wheel"),
+        ]
+    )
+    def clocked(self, request):
+        sim_cls, profiled = request.param
+        sim = sim_cls()
+        if profiled:
             sim.set_profiler(SimProfiler())
         return sim
 

@@ -1,7 +1,7 @@
 """Property-based tests for the event kernel.
 
 Every ordering property is checked on both the timing-wheel ``Simulator``
-and the ``HeapScheduler`` reference; the differential property at the
+and the ``HeapScheduler`` oracle in ``tests/sim``; the differential property at the
 bottom drives randomized op sequences through both kernels at once and
 asserts identical traces.
 """
@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import HeapScheduler, Simulator
+from repro.sim import Simulator
+from tests.sim.heap_oracle import HeapScheduler
 
 KERNELS = [Simulator, HeapScheduler]
 kernel_param = pytest.mark.parametrize(

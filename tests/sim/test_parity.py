@@ -1,4 +1,4 @@
-"""Differential parity: timing-wheel ``Simulator`` vs retained ``HeapScheduler``.
+"""Differential parity: timing-wheel ``Simulator`` vs the ``HeapScheduler`` oracle.
 
 The wheel rewrite is only safe if it is *observationally identical* to the
 binary heap it replaced: same dispatch order, same simulated clock, same
@@ -11,11 +11,15 @@ Three layers:
 - scripted synthetic workloads exercising every scheduling entrypoint
   (``schedule``/``schedule_at``/``call_now``/``schedule_many``/
   ``schedule_batch``/``reschedule``/``cancel``) → identical fired traces;
-- the micro-bench scenarios (``event_kernel``/``cancel_churn``/...) via
-  their ``sim_cls`` knob → identical event counts and final sim time;
+- the micro-bench scenarios (``event_kernel``/``cancel_churn``/...) →
+  identical event counts and final sim time;
 - full cluster experiments (headline- and fig4-style configs, plus a
-  cancellation-heavy moderation config) via ``Cluster(sim_factory=...)``
-  → byte-identical ``ResultRecord`` JSON and hashes.
+  cancellation-heavy moderation config) → byte-identical
+  ``ResultRecord`` JSON and hashes.
+
+The last two swap the oracle in by patching the module-global
+``Simulator`` that ``repro.harness.suites`` and
+``repro.cluster.simulation`` build their simulator from.
 """
 
 import hashlib
@@ -23,6 +27,8 @@ import json
 
 import pytest
 
+import repro.cluster.simulation
+import repro.harness.suites
 from repro.apps.client import reset_request_ids
 from repro.cluster.simulation import Cluster, ExperimentConfig
 from repro.harness.hashing import config_hash
@@ -33,10 +39,9 @@ from repro.harness.suites import (
     chained_timers,
     event_kernel,
 )
-from repro.sim.kernel import HeapScheduler, Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.units import MS
-
-KERNELS = (Simulator, HeapScheduler)
+from tests.sim.heap_oracle import HeapScheduler
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +143,22 @@ class TestScriptedParity:
         assert script(Simulator()) == script(HeapScheduler())
 
 
+def _swap_in_oracle(monkeypatch, module):
+    """Make ``module`` build the oracle; returns the instances it built,
+    so a test can prove the swap reached the code under test."""
+    built = []
+
+    class Oracle(HeapScheduler):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(module, "Simulator", Oracle)
+    return built
+
+
 # ---------------------------------------------------------------------------
-# Layer 2: micro-bench scenarios via their sim_cls knob
+# Layer 2: micro-bench scenarios, rerun on the oracle
 # ---------------------------------------------------------------------------
 
 
@@ -148,9 +167,11 @@ SCENARIOS = [event_kernel, cancel_churn, chained_timers, burst_fanout]
 
 class TestScenarioParity:
     @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.__name__)
-    def test_events_and_simtime_identical(self, scenario):
-        wheel = scenario(None, sim_cls=Simulator)
-        heap = scenario(None, sim_cls=HeapScheduler)
+    def test_events_and_simtime_identical(self, scenario, monkeypatch):
+        wheel = scenario(None)
+        built = _swap_in_oracle(monkeypatch, repro.harness.suites)
+        heap = scenario(None)
+        assert len(built) == 1
         assert wheel.events == heap.events
         assert wheel.sim_ns == heap.sim_ns
         # Cancellation *accounting* differs by design (the wheel unlinks
@@ -166,9 +187,9 @@ class TestScenarioParity:
 # ---------------------------------------------------------------------------
 
 
-def _record_json(config, sim_factory):
+def _record_json(config):
     reset_request_ids()
-    result = Cluster(config, sim_factory=sim_factory).run()
+    result = Cluster(config).run()
     record = ResultRecord.from_result(result, config_hash(config), config.seed)
     return json.dumps(record.to_json_dict(), sort_keys=True)
 
@@ -197,9 +218,11 @@ def _parity_configs():
 
 class TestExperimentParity:
     @pytest.mark.parametrize("config", _parity_configs())
-    def test_result_records_bit_identical(self, config):
-        wheel = _record_json(config, None)
-        heap = _record_json(config, HeapScheduler)
+    def test_result_records_bit_identical(self, config, monkeypatch):
+        wheel = _record_json(config)
+        built = _swap_in_oracle(monkeypatch, repro.cluster.simulation)
+        heap = _record_json(config)
+        assert len(built) == 1
         assert wheel == heap
         assert (
             hashlib.sha256(wheel.encode()).hexdigest()
@@ -211,4 +234,4 @@ class TestExperimentParity:
             app="apache", policy="perf", target_rps=24_000.0,
             warmup_ns=5 * MS, measure_ns=40 * MS, drain_ns=30 * MS, seed=2,
         )
-        assert _record_json(config, None) == _record_json(config, None)
+        assert _record_json(config) == _record_json(config)
