@@ -1,18 +1,19 @@
-"""Profiler overhead bench: the disabled path must stay free.
+"""Profiler overhead bench: what attaching the profiler costs.
 
 The self-profiler is called through hooks from ``Simulator.run``'s one
-dispatch loop; with ``profile=None`` the only addition to the loop is
-one ``is None`` check per *event*.
-This bench records the two acceptance measurements:
+dispatch loop.  This bench times the headline run (Apache / ncap.cons @
+24K RPS, quick settings, no other observers) plain and profiled,
+interleaved pair by pair in one process so host drift hits both alike,
+and records:
 
-- **disabled**: headline wall time (Apache / ncap.cons @ 24K RPS, quick
-  settings, no observers) against the pre-profiler baseline measured on
-  the same machine at commit fb72f8f (median 0.494 s, min 0.425 s over
-  7 runs).  Quiet-machine target is within 2%; the CI assert only
-  catches gross regressions.
-- **enabled**: the same run under the profiler — the per-handler
-  attribution must telescope to the measured loop total within 1%, and
-  the slowdown ratio quantifies the opt-in cost.
+- **enabled cost**: median profiled wall over median plain wall;
+- **attribution**: the per-handler times must telescope to the measured
+  loop total within 1% on every profiled run.
+
+The disabled path (``profile=None``) is pinned by the ``set_profiler``
+tests in ``tests/profiling/test_profiler.py``.  A plain wall time held
+against a constant from other hardware cannot show its regression, so
+this bench no longer reports one.
 """
 
 import statistics
@@ -22,13 +23,6 @@ from repro.cluster.simulation import ExperimentConfig, run_experiment
 from repro.harness.settings import RunSettings
 from repro.metrics.report import format_table
 from repro.profiling import format_top_handlers
-
-#: Median/min wall time of the headline quick run at the pre-profiler
-#: commit (fb72f8f), measured on the machine that generated the
-#: committed report.  Informational: re-measure when regenerating the
-#: report on different hardware.
-PRE_PROFILER_BASELINE_MEDIAN_S = 0.494
-PRE_PROFILER_BASELINE_MIN_S = 0.425
 
 _REPEATS = 5
 
@@ -49,11 +43,12 @@ def _timed_run(profile=None):
 
 
 def test_profiler_overhead(save_report):
-    plain = [_timed_run()[0] for _ in range(_REPEATS)]
+    plain = []
     profiled = []
     shares = []
     last_profile = None
     for _ in range(_REPEATS):
+        plain.append(_timed_run()[0])
         elapsed, result = _timed_run(profile=True)
         profiled.append(elapsed)
         last_profile = result.profile
@@ -63,21 +58,17 @@ def test_profiler_overhead(save_report):
 
     plain_median = statistics.median(plain)
     profiled_median = statistics.median(profiled)
-    disabled_ratio = plain_median / PRE_PROFILER_BASELINE_MEDIAN_S
     enabled_ratio = profiled_median / plain_median
     rows = [
         ["plain wall, median of 5 (s)", round(plain_median, 3)],
         ["plain wall, min of 5 (s)", round(min(plain), 3)],
         ["profiled wall, median of 5 (s)", round(profiled_median, 3)],
-        ["pre-profiler baseline median (s)", PRE_PROFILER_BASELINE_MEDIAN_S],
-        ["pre-profiler baseline min (s)", PRE_PROFILER_BASELINE_MIN_S],
-        ["disabled-path ratio vs baseline", round(disabled_ratio, 3)],
         ["enabled cost (profiled / plain)", round(enabled_ratio, 3)],
         ["attributed share, worst of 5", round(min(shares), 5)],
     ]
     report = format_table(
         ["metric", "value"], rows,
-        title="Profiler overhead — headline, quick settings",
+        title="Profiler overhead — headline, quick settings (plain/profiled interleaved)",
     )
     report += "\n\n" + format_top_handlers(last_profile, n=10)
     save_report("profiling_overhead", report)
@@ -86,9 +77,6 @@ def test_profiler_overhead(save_report):
     # this is exact bookkeeping, not a timing property, so it holds on
     # noisy machines too.
     assert min(shares) > 0.99
-    # Quiet-machine target for the disabled path is <= 1.02; the CI
-    # bound is generous to tolerate shared runners.
-    assert disabled_ratio < 1.5
     # The profiler hooks add a method call, one perf_counter read and
     # dict upkeep per event; keep them cheap enough to leave on during
     # sweeps.

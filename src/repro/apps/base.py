@@ -81,14 +81,17 @@ class ServerApp:
         self._ignored = stats.counter("ignored")
         self._span_probe = self.telemetry.probe("request.span")
         self._account_probe = self.telemetry.probe("request.account")
-        #: Optional core affinity for the *next* request's jobs.  The
-        #: per-core (multi-queue) node sets this around each delivery so a
+        #: Optional core affinity for the *next* request's jobs.  A
+        #: ``per_core`` ServerNode sets this around each delivery so a
         #: flow's processing stays on its RSS queue's core (RFS-style).
         self.affinity_hint: Optional[int] = None
         #: Called with each request's server-observed latency (ns from the
         #: client send timestamp to the response hitting the NIC) — the
         #: feed Pegasus-style slack controllers consume.
         self.latency_listeners: list = []
+        #: Called with each request frame once its response has been handed
+        #: to the NIC (the Adrenaline governor's unboost point).
+        self.response_listeners: list = []
 
     # -- bookkeeping (registry-backed) -------------------------------------
 
@@ -213,3 +216,5 @@ class ServerApp:
                 created_ns=self._sim.now,
             )
         )
+        for listener in self.response_listeners:
+            listener(frame)

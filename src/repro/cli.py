@@ -39,7 +39,7 @@ from typing import List, Optional
 
 from repro.apps.client import reset_request_ids
 from repro.apps.workload import LOAD_LEVELS, load_level
-from repro.cluster.policies import POLICIES, POLICY_ORDER
+from repro.cluster.policies import POLICIES
 from repro.cluster.simulation import ExperimentConfig, run_experiment
 from repro.experiments import (
     RunSettings,
@@ -719,17 +719,18 @@ def cmd_datacenter(args: argparse.Namespace) -> int:
 
 def cmd_policies(args: argparse.Namespace) -> int:
     rows = []
-    for name in POLICY_ORDER:
-        policy = POLICIES[name]
+    for name, policy in POLICIES.items():
         rows.append([
             name, policy.governor,
             "menu" if policy.cstates else "-",
             policy.ncap or "-",
             policy.fcons if policy.uses_ncap else "-",
+            "per-core" if policy.per_core else "chip-wide",
         ])
     print(format_table(
-        ["policy", "P-state governor", "C-state governor", "ncap", "FCONS"],
-        rows, title="Power-management policies (paper Section 6)",
+        ["policy", "P-state governor", "C-state governor", "ncap", "FCONS", "DVFS"],
+        rows,
+        title="Power-management policies (paper Section 6, then the §7/§8 extensions)",
     ))
     return 0
 

@@ -3,10 +3,17 @@
 A :class:`ServerNode` assembles the whole stack for one policy:
 
 - processor package (Table 1), scheduler, IRQ controller;
-- cpufreq driver + the policy's P-state governor;
-- cpuidle driver + menu governor (when the policy enables C-states);
-- NIC + driver + the application (Apache or Memcached);
-- NCAP hardware or software, when the policy asks for it.
+- per clock domain: a cpufreq driver + the policy's P-state governor, a
+  cpuidle driver (when the policy enables C-states), the NIC rx queue's
+  driver, and NCAP hardware + driver extension when the policy asks;
+- the NIC and the application (Apache or Memcached);
+- NCAP software (chip-wide only), when the policy asks for it.
+
+Chip-wide DVFS (the paper's platform) is one domain over all cores and
+one rx queue.  A ``per_core`` policy builds one single-core domain and
+one rx queue per core: RSS keeps each flow on one queue, and the queue's
+driver pins that flow's work to its core (RFS-style), so every domain's
+governors and NCAP engine see only their own core's traffic.
 
 The node itself is the link endpoint (frames for ``node.name`` terminate
 at its NIC).  A :class:`WindowMeter` reads a node's energy, busy time and
@@ -15,18 +22,22 @@ idle accounting at the two edges of a measurement window.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.analysis.energy import EnergyAttribution, attribution_between
 from repro.apps.apache import ApacheApp, ApacheProfile
 from repro.apps.memcached import MemcachedApp, MemcachedProfile
 from repro.core.config import NCAPConfig
+from repro.core.decision_engine import DecisionEngine
 from repro.core.ncap_driver import NCAPDriverExtension
 from repro.core.ncap_nic import NCAPHardware
 from repro.core.ncap_sw import NCAPSoftware
 from repro.cluster.policies import PolicyConfig, get_policy
 from repro.cpu.config import ProcessorConfig
 from repro.cpu.energy import EnergyReport
+from repro.cpu.package import ClockDomain, Package
+from repro.ext.adrenaline import AdrenalineGovernor, fast_vr_processor
 from repro.metrics.energy import energy_delta
 from repro.net.driver import NICDriver
 from repro.net.interrupts import ModerationConfig
@@ -61,8 +72,8 @@ class WindowMeter:
     """Energy, per-core busy time and idle accounting over one window.
 
     ``package`` is anything with ``energy_report()`` and
-    ``busy_ns_per_core()`` (a processor package or a multi-domain
-    processor); ``accounting`` is the optional energy-attribution
+    ``busy_ns_per_core()`` (a :class:`~repro.cpu.package.Package` or one
+    clock domain); ``accounting`` is the optional energy-attribution
     observer.  :meth:`mark` reads all three together, so both edges of
     the window see the same meter state; call it once at each edge.
     """
@@ -95,6 +106,20 @@ class WindowMeter:
         return attribution_between(start, end, self.energy())
 
 
+@dataclass
+class Domain:
+    """One clock domain's share of a node: the governors that drive it,
+    the driver of the rx queue that feeds it, and that queue's NCAP."""
+
+    clock: ClockDomain
+    cpufreq: CpufreqDriver
+    governor: object
+    cpuidle: Optional[CpuidleDriver]
+    driver: NICDriver
+    ncap_hw: Optional[NCAPHardware] = None
+    ncap_ext: Optional[NCAPDriverExtension] = None
+
+
 class ServerNode:
     """One OLDI server under a given power-management policy."""
 
@@ -118,7 +143,7 @@ class ServerNode:
     ):
         self.sim = sim
         self.name = name
-        self.policy = get_policy(policy)
+        self.policy = policy = get_policy(policy)
         self.app_name = app
         self.trace = trace
 
@@ -126,12 +151,16 @@ class ServerNode:
         # so the stats registry namespaces (nic.*, cpuidle.*, governor.*,
         # ncap.*, app.*) all live together and a single snapshot covers the
         # whole server.  A ChannelSink bridges probe events back into the
-        # legacy trace channels when a TraceRecorder is supplied.
+        # legacy trace channels when a TraceRecorder is supplied.  With
+        # several domains, per-domain parts count under ``nic.q<i>``,
+        # ``driver.q<i>``, ``ncap.q<i>`` and ``cpuidle.core<i>``.
         self.telemetry = ensure_telemetry(telemetry, trace)
 
-        self.package = processor.build_package(
-            sim, name=f"{name}.cpu", telemetry=self.telemetry
-        )
+        if policy.governor == "adrenaline":
+            processor = fast_vr_processor(processor)
+        self.package = Package(processor.build_domains(
+            sim, policy.per_core, name=f"{name}.cpu", telemetry=self.telemetry
+        ))
         if trace is not None:
             # Pre-create the per-core C-state channels so traces expose
             # them even for cores that never sleep (the ChannelSink only
@@ -140,46 +169,49 @@ class ServerNode:
                 trace.event_channel(f"{name}.core{core.core_id}.cstate")
         self.scheduler = Scheduler(sim, self.package)
         self.irq = IRQController(sim, self.package)
-        self.cpufreq = CpufreqDriver(sim, self.package)
         self.sysfs = SysFS()
-
-        # -- P-state governor --
-        self.ondemand: Optional[OndemandGovernor] = None
-        if self.policy.governor == "ondemand":
-            self.ondemand = OndemandGovernor(
-                sim, self.cpufreq, self.irq, period_ns=ondemand_period_ns
-            )
-            self.governor = self.ondemand
-        elif self.policy.governor == "powersave":
-            self.governor = PowersaveGovernor(self.cpufreq)
-        else:
-            self.governor = PerformanceGovernor(self.cpufreq)
-
-        # -- C-state governor --
-        self.cpuidle: Optional[CpuidleDriver] = None
-        if self.policy.cstates:
-            if self.policy.cpuidle_governor == "ladder":
-                idle_governor = LadderGovernor(
-                    self.package.cstates, telemetry=self.telemetry
-                )
-            else:
-                idle_governor = MenuGovernor(
-                    self.package.cstates, telemetry=self.telemetry
-                )
-            self.cpuidle = CpuidleDriver(idle_governor, telemetry=self.telemetry)
-            self.scheduler.idle_hook = self.cpuidle.on_core_idle
-
-        # -- NIC + driver --
         nic_kwargs = {}
         if nic_dma_latency_ns is not None:
             nic_kwargs["dma_latency_ns"] = nic_dma_latency_ns
         self.nic = NIC(
-            sim, name=name, moderation=moderation,
-            telemetry=self.telemetry, **nic_kwargs,
+            sim, name=name, moderation=moderation, telemetry=self.telemetry,
+            n_queues=len(self.package.domains), **nic_kwargs,
         )
-        self.driver = NICDriver(sim, self.nic, self.irq, netstack)
 
-        # -- application --
+        # -- per-domain governors, rx queue driver and NCAP --
+        idle_governor = None
+        if policy.cstates:
+            governor_cls = (
+                LadderGovernor if policy.cpuidle_governor == "ladder" else MenuGovernor
+            )
+            idle_governor = governor_cls(self.package.cstates, telemetry=self.telemetry)
+        ncap_config = policy.ncap_config(ncap_base_config)
+        self.domains: List[Domain] = [
+            self._build_domain(
+                i, clock, idle_governor, ncap_config, netstack, ondemand_period_ns
+            )
+            for i, clock in enumerate(self.package.domains)
+        ]
+        multi = len(self.domains) > 1
+        if idle_governor is not None:
+            if multi:
+                by_core = [d.cpuidle for d in self.domains for _ in d.clock.cores]
+                self.scheduler.idle_hook = (
+                    lambda core: by_core[core.core_id].on_core_idle(core)
+                )
+            else:
+                self.scheduler.idle_hook = self.domains[0].cpuidle.on_core_idle
+        # Chip-wide views: the first domain's parts (the only ones unless
+        # the policy is per_core).
+        first = self.domains[0]
+        self.cpufreq = first.cpufreq
+        self.governor = first.governor
+        self.cpuidle = first.cpuidle
+        self.driver = first.driver
+        self.ncap_hw = first.ncap_hw
+        self.ncap_ext = first.ncap_ext
+
+        # -- application (transmits through the shared tx path) --
         app_rng = rng.stream(f"{name}.{app}")
         if app == "apache":
             self.app = ApacheApp(
@@ -193,36 +225,88 @@ class ServerNode:
             )
         else:
             raise ValueError(f"unknown app {app!r}")
-        self.driver.packet_sink = self.app.on_packet
-
-        # -- NCAP --
-        self.ncap_hw: Optional[NCAPHardware] = None
-        self.ncap_sw: Optional[NCAPSoftware] = None
-        self.ncap_ext: Optional[NCAPDriverExtension] = None
-        ncap_config = self.policy.ncap_config(ncap_base_config)
-        if ncap_config is not None:
-            self.ncap_ext = NCAPDriverExtension(
-                ncap_config,
-                self.cpufreq,
-                self.scheduler,
-                cpuidle=self.cpuidle,
-                ondemand=self.ondemand,
+        for domain in self.domains:
+            domain.driver.packet_sink = (
+                self._pinned_sink(domain.clock.cores[0].core_id)
+                if multi else self.app.on_packet
             )
-            if self.policy.ncap == "hw":
-                self.ncap_hw = NCAPHardware(
-                    sim,
-                    self.nic,
-                    ncap_config,
-                    cpu_at_max=lambda: self.package.at_max_performance,
+            if isinstance(domain.governor, AdrenalineGovernor):
+                domain.governor.attach(domain.driver, self.app)
+
+        self.ncap_sw: Optional[NCAPSoftware] = None
+        if policy.ncap == "sw":
+            self.ncap_sw = NCAPSoftware(
+                sim, self.driver, self.irq, ncap_config, self.ncap_ext,
+            )
+
+    def _build_domain(
+        self,
+        index: int,
+        clock: ClockDomain,
+        idle_governor,
+        ncap_config: Optional[NCAPConfig],
+        netstack: NetStackCosts,
+        ondemand_period_ns: int,
+    ) -> Domain:
+        """Domain ``index`` of the package, served by rx queue ``index``;
+        its first core runs the queue's interrupts and the ondemand timer."""
+        sim, policy = self.sim, self.policy
+        multi = len(self.package.domains) > 1
+        core_id = clock.cores[0].core_id
+        queue = self.nic.queues[index]
+        cpufreq = CpufreqDriver(sim, clock)
+        ondemand = None
+        if policy.governor == "ondemand":
+            governor = ondemand = OndemandGovernor(
+                sim, cpufreq, self.irq, period_ns=ondemand_period_ns, core_id=core_id
+            )
+        elif policy.governor == "adrenaline":
+            governor = AdrenalineGovernor(cpufreq, self.telemetry)
+        elif policy.governor == "powersave":
+            governor = PowersaveGovernor(cpufreq)
+        else:
+            governor = PerformanceGovernor(cpufreq)
+        cpuidle = None
+        if idle_governor is not None:
+            cpuidle = CpuidleDriver(
+                idle_governor, telemetry=self.telemetry,
+                stats_prefix=f"cpuidle.core{core_id}" if multi else "cpuidle",
+            )
+        driver = NICDriver(
+            sim, self.nic, self.irq, netstack, core_id=core_id,
+            stats_prefix=f"driver.q{index}" if multi else "driver",
+            queue_id=index,
+        )
+        domain = Domain(clock, cpufreq, governor, cpuidle, driver)
+        if ncap_config is not None:
+            domain.ncap_ext = NCAPDriverExtension(
+                ncap_config, cpufreq, cpuidle=cpuidle, ondemand=ondemand
+            )
+            if policy.ncap == "hw":
+                domain.ncap_hw = NCAPHardware(
+                    sim, self.nic, ncap_config,
+                    cpu_at_max=lambda: clock.at_max_performance,
+                    stats_prefix=f"ncap.q{index}" if multi else "ncap",
+                    queue_id=index,
                 )
-                self.driver.icr_hooks.append(self.ncap_ext.on_icr)
-                self.ncap_hw.register_sysfs(
-                    self.sysfs, prefix=f"/sys/class/net/{name}/ncap"
+                driver.icr_hooks.append(domain.ncap_ext.on_icr)
+                domain.ncap_hw.register_sysfs(
+                    self.sysfs, prefix=f"/sys/class/net/{queue.name}/ncap"
                 )
-            else:
-                self.ncap_sw = NCAPSoftware(
-                    sim, self.driver, self.irq, ncap_config, self.ncap_ext,
-                )
+        return domain
+
+    def _pinned_sink(self, core_id: int):
+        """Deliver to the app with its jobs pinned to ``core_id``."""
+        app = self.app
+
+        def sink(frame: Frame) -> None:
+            app.affinity_hint = core_id
+            try:
+                app.on_packet(frame)
+            finally:
+                app.affinity_hint = None
+
+        return sink
 
     # -- link endpoint (NetDevice) ------------------------------------------
 
@@ -235,16 +319,20 @@ class ServerNode:
     # -- lifecycle --------------------------------------------------------------
 
     def start(self) -> None:
-        self.governor.start()
-        if self.ncap_hw is not None:
-            self.ncap_hw.start()
+        for domain in self.domains:
+            domain.governor.start()
+        for domain in self.domains:
+            if domain.ncap_hw is not None:
+                domain.ncap_hw.start()
         if self.ncap_sw is not None:
             self.ncap_sw.start()
 
     def stop(self) -> None:
-        self.governor.stop()
-        if self.ncap_hw is not None:
-            self.ncap_hw.stop()
+        for domain in self.domains:
+            domain.governor.stop()
+        for domain in self.domains:
+            if domain.ncap_hw is not None:
+                domain.ncap_hw.stop()
         if self.ncap_sw is not None:
             self.ncap_sw.stop()
 
@@ -268,14 +356,14 @@ class ServerNode:
         return WindowMeter(self.package, accounting)
 
     def ncap_stats(self) -> Dict[str, int]:
-        """The NCAP engine's post counters (empty without NCAP)."""
-        engine = self.engine
-        if engine is None:
+        """The NCAP engines' post counters, summed (empty without NCAP)."""
+        engines = self.engines
+        if not engines:
             return {}
         return {
-            "it_high_posts": engine.it_high_posts,
-            "it_low_posts": engine.it_low_posts,
-            "immediate_rx_posts": engine.immediate_rx_posts,
+            "it_high_posts": sum(e.it_high_posts for e in engines),
+            "it_low_posts": sum(e.it_low_posts for e in engines),
+            "immediate_rx_posts": sum(e.immediate_rx_posts for e in engines),
         }
 
     def cstate_entries(self) -> Dict[str, int]:
@@ -289,10 +377,14 @@ class ServerNode:
     # -- introspection ----------------------------------------------------------------
 
     @property
-    def engine(self):
-        """The active DecisionEngine, if any (hw or sw)."""
-        if self.ncap_hw is not None:
-            return self.ncap_hw.engine
+    def engines(self) -> List[DecisionEngine]:
+        """The active DecisionEngines: the software one, or one per hw queue."""
         if self.ncap_sw is not None:
-            return self.ncap_sw.engine
-        return None
+            return [self.ncap_sw.engine]
+        return [d.ncap_hw.engine for d in self.domains if d.ncap_hw is not None]
+
+    @property
+    def engine(self) -> Optional[DecisionEngine]:
+        """The first DecisionEngine (a chip-wide node's only one), if any."""
+        engines = self.engines
+        return engines[0] if engines else None

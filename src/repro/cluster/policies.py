@@ -1,4 +1,4 @@
-"""The seven power-management policies evaluated in Section 6.
+"""The power-management policies: the seven of Section 6, plus two more.
 
 Conventional policies:
 
@@ -12,6 +12,15 @@ NCAP policies (all run *atop* ond.idle, per the paper):
 - ``ncap.sw``   — software NCAP in the NIC kernel driver;
 - ``ncap.cons`` — hardware NCAP, FCONS = 5 (conservative F reduction);
 - ``ncap.aggr`` — hardware NCAP, FCONS = 1 (aggressive F reduction).
+
+Beyond the paper's evaluation (``per_core``: one V/F domain and NIC rx
+queue per core, with RSS steering flows to queues):
+
+- ``ncap.percore`` — Section 7's per-core NCAP: ncap.cons with one
+  hardware NCAP engine per rx queue, each retuning only its core;
+- ``adrenaline``   — the Section 8 Adrenaline-style baseline
+  (:mod:`repro.ext.adrenaline`): software query detection, per-query
+  boosting behind fast on-chip VRs, menu C-states.
 """
 
 from __future__ import annotations
@@ -29,23 +38,31 @@ class PolicyConfig:
     The seven named policies of the paper use the ``performance`` and
     ``ondemand`` P-state governors with the ``menu`` C-state governor;
     ``powersave`` and ``ladder`` (both described in Section 2.1) are
-    supported for custom configurations and ablations.
+    supported for custom configurations and ablations.  ``per_core``
+    gives every core its own V/F domain and rx queue (Section 7);
+    software NCAP is chip-wide only, and the ``adrenaline`` governor
+    boosts per core, so it needs ``per_core``.
     """
 
     name: str
-    governor: str = "performance"       # "performance" | "ondemand" | "powersave"
+    governor: str = "performance"       # "performance" | "ondemand" | "powersave" | "adrenaline"
     cstates: bool = False               # C-state governor active?
     cpuidle_governor: str = "menu"      # "menu" | "ladder"
     ncap: Optional[str] = None          # None | "hw" | "sw"
     fcons: int = 5
+    per_core: bool = False              # one V/F domain + rx queue per core?
 
     def __post_init__(self) -> None:
-        if self.governor not in ("performance", "ondemand", "powersave"):
+        if self.governor not in ("performance", "ondemand", "powersave", "adrenaline"):
             raise ValueError(f"unknown governor {self.governor!r}")
         if self.cpuidle_governor not in ("menu", "ladder"):
             raise ValueError(f"unknown cpuidle governor {self.cpuidle_governor!r}")
         if self.ncap not in (None, "hw", "sw"):
             raise ValueError(f"unknown ncap mode {self.ncap!r}")
+        if self.per_core and self.ncap == "sw":
+            raise ValueError("software NCAP is chip-wide only (per_core with ncap='sw')")
+        if self.governor == "adrenaline" and not self.per_core:
+            raise ValueError("the adrenaline governor boosts per core; it needs per_core")
 
     def ncap_config(self, base: Optional[NCAPConfig] = None) -> Optional[NCAPConfig]:
         """The NCAP configuration for this policy (None when NCAP is off)."""
@@ -73,9 +90,16 @@ POLICIES: Dict[str, PolicyConfig] = {
     "ncap.aggr": PolicyConfig(
         "ncap.aggr", governor="ondemand", cstates=True, ncap="hw", fcons=1
     ),
+    "ncap.percore": PolicyConfig(
+        "ncap.percore", governor="ondemand", cstates=True, ncap="hw", fcons=5,
+        per_core=True,
+    ),
+    "adrenaline": PolicyConfig(
+        "adrenaline", governor="adrenaline", cstates=True, per_core=True
+    ),
 }
 
-#: The order the paper's figures present policies in.
+#: The order the paper's figures present its seven policies in.
 POLICY_ORDER = ["perf", "ond", "perf.idle", "ond.idle", "ncap.sw", "ncap.cons", "ncap.aggr"]
 
 

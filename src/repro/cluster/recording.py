@@ -3,18 +3,20 @@
 :func:`build_server_recorder` declares the canonical per-server series —
 the quantities every figure and the dashboard timeline panels read:
 
-==================  ====================================================
-``cpu.freq_ghz``    package operating frequency (GHz, gauge)
-``core<i>.cstate``  per-core C-state table index (0 = awake, gauge)
-``cpu.util``        mean core utilization over the last interval (gauge)
-``power.watts``     mean package power over the last interval (gauge)
-``runq.depth``      run-queue depth across cores (gauge)
-``nic.rx_ring``     rx descriptor-ring occupancy (gauge)
-``nic.rx.bytes``    cumulative wire bytes received (counter)
-``nic.tx.bytes``    cumulative wire bytes transmitted (counter)
-``app.requests``    cumulative requests accepted by the app (counter)
-``app.responses``   cumulative responses produced by the app (counter)
-==================  ====================================================
+=========================== =============================================
+``cpu.freq_ghz``            package operating frequency (GHz, gauge; the
+                            fastest domain's on a per-core package)
+``cpu.domain<i>.freq_ghz``  each domain's frequency (per-core packages)
+``core<i>.cstate``          per-core C-state table index (0 = awake, gauge)
+``cpu.util``                mean core utilization over the last interval
+``power.watts``             mean package power over the last interval
+``runq.depth``              run-queue depth across cores (gauge)
+``nic.rx_ring``             rx descriptor-ring occupancy, all queues (gauge)
+``nic.rx.bytes``            cumulative wire bytes received (counter)
+``nic.tx.bytes``            cumulative wire bytes transmitted (counter)
+``app.requests``            cumulative requests accepted by the app (counter)
+``app.responses``           cumulative responses produced by the app
+=========================== =============================================
 
 plus any extra registry subtrees named in
 :attr:`~repro.telemetry.recorder.RecorderConfig.patterns`.
@@ -126,9 +128,8 @@ def build_server_recorder(
     package = server.package
 
     recorder.add_source("cpu.freq_ghz", lambda: package.frequency_hz / 1e9)
-    domains = getattr(package, "domains", None)
-    if domains is not None:
-        for i, domain in enumerate(domains):
+    if len(package.domains) > 1:
+        for i, domain in enumerate(package.domains):
             recorder.add_source(
                 f"cpu.domain{i}.freq_ghz",
                 (lambda d: lambda: d.frequency_hz / 1e9)(domain),

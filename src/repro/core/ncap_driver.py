@@ -20,31 +20,26 @@ from repro.core.config import NCAPConfig
 from repro.net.interrupts import ICR
 from repro.oskernel.cpufreq import CpufreqDriver, OndemandGovernor
 from repro.oskernel.cpuidle import CpuidleDriver
-from repro.oskernel.scheduler import Scheduler
 
 
 class NCAPDriverExtension:
-    """The kernel half of NCAP."""
+    """The kernel half of NCAP for one clock domain.
+
+    ``cpufreq`` drives the domain; IT_HIGH wakes that domain's cores.
+    """
 
     def __init__(
         self,
         config: NCAPConfig,
         cpufreq: CpufreqDriver,
-        scheduler: Scheduler,
         cpuidle: Optional[CpuidleDriver] = None,
         ondemand: Optional[OndemandGovernor] = None,
-        wake_all_on_high: bool = True,
-        wake_core=None,
     ):
         self.config = config
         self._cpufreq = cpufreq
-        self._scheduler = scheduler
         self._cpuidle = cpuidle
         self._ondemand = ondemand
-        self.wake_all_on_high = wake_all_on_high
-        #: Per-core NCAP (Section 7, multi-queue NIC): wake only the queue's
-        #: target core instead of the whole package.
-        self.wake_core = wake_core
+        self._cores = cpufreq.package.cores
 
         self._steps_remaining = config.fcons
         self._menu_reenabled = True
@@ -66,10 +61,8 @@ class NCAPDriverExtension:
             self._menu_reenabled = False
         if self._ondemand is not None:
             self._ondemand.hold()  # one invocation period (Section 4.3)
-        if self.wake_core is not None:
-            self.wake_core.wake()
-        elif self.wake_all_on_high:
-            self._scheduler.wake_all()
+        for core in self._cores:
+            core.wake()
         self._steps_remaining = self.config.fcons
 
     def _handle_low(self) -> None:

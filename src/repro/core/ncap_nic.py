@@ -24,7 +24,12 @@ from repro.telemetry import ensure_telemetry
 
 
 class NCAPHardware:
-    """ReqMonitor + TxBytesCounter + DecisionEngine bolted onto a NIC."""
+    """ReqMonitor + TxBytesCounter + DecisionEngine bolted onto a NIC.
+
+    The engine watches one rx queue (queue 0 by default) and posts its
+    decisions on that queue's vector; the tx counter sees the NIC's whole
+    transmit path.
+    """
 
     def __init__(
         self,
@@ -34,9 +39,11 @@ class NCAPHardware:
         cpu_at_max: Callable[[], bool],
         trace: Optional[TraceRecorder] = None,
         stats_prefix: str = "ncap",
+        queue_id: int = 0,
     ):
         self._sim = sim
         self.nic = nic
+        queue = nic.queues[queue_id]
         self.config = config
         # The NIC's telemetry is the natural home: the monitor/counter/
         # engine are hardware blocks on that NIC.  A ChannelSink attached
@@ -50,7 +57,7 @@ class NCAPHardware:
             sim=sim,
             telemetry=telemetry,
             stats_prefix=stats_prefix,
-            name=f"{nic.name}.ncap",
+            name=f"{queue.name}.ncap",
         )
         self.tx_counter = TxBytesCounter(
             telemetry=telemetry, stats_prefix=stats_prefix
@@ -60,15 +67,15 @@ class NCAPHardware:
             config,
             req_count=lambda: self.req_monitor.req_cnt,
             tx_bytes=lambda: self.tx_counter.tx_bytes,
-            post=nic.post_interrupt_now,
-            last_interrupt_ns=lambda: nic.moderator.last_fire_ns,
+            post=queue.post_interrupt_now,
+            last_interrupt_ns=lambda: queue.moderator.last_fire_ns,
             cpu_at_max=cpu_at_max,
             enable_cit=True,
-            name=f"{nic.name}.ncap",
+            name=f"{queue.name}.ncap",
             telemetry=telemetry,
             stats_prefix=stats_prefix,
         )
-        nic.rx_hw_taps.append(self.req_monitor.inspect)
+        queue.rx_hw_taps.append(self.req_monitor.inspect)
         nic.tx_hw_taps.append(self.tx_counter.observe)
         self.req_monitor.count_listeners.append(self.engine.on_req_count_change)
         self._tick_event: Optional[Event] = None

@@ -70,7 +70,7 @@ class NCAPSoftware:
             req_count=lambda: self.req_monitor.req_cnt,
             tx_bytes=lambda: self.tx_counter.tx_bytes,
             post=extension.on_icr,  # already in kernel context: call directly
-            last_interrupt_ns=lambda: driver.nic.moderator.last_fire_ns,
+            last_interrupt_ns=lambda: driver.queue.moderator.last_fire_ns,
             cpu_at_max=lambda: False,  # resolved by the extension's own checks
             enable_cit=False,
             name=f"{driver.nic.name}.ncap_sw",

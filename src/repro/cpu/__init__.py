@@ -4,7 +4,7 @@ from repro.cpu.config import ProcessorConfig
 from repro.cpu.core import Core, CoreBusyError, CoreState, Job
 from repro.cpu.cstates import CState, CStateTable, default_cstates
 from repro.cpu.energy import EnergyReport, PowerMeter
-from repro.cpu.package import ClockDomain
+from repro.cpu.package import ClockDomain, Package
 from repro.cpu.power import PowerMode, PowerModel, PowerModelConfig
 from repro.cpu.pstates import DVFSTimingModel, PState, PStateTable
 
@@ -20,6 +20,7 @@ __all__ = [
     "EnergyReport",
     "PowerMeter",
     "ClockDomain",
+    "Package",
     "PowerMode",
     "PowerModel",
     "PowerModelConfig",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional
 
 from repro.cpu.cstates import CStateTable, default_cstates
 from repro.cpu.package import ClockDomain
@@ -12,7 +12,7 @@ from repro.cpu.pstates import DVFSTimingModel, PStateTable
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceRecorder
 from repro.sim.units import ghz
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, ensure_telemetry
 
 
 @dataclass(frozen=True)
@@ -55,15 +55,43 @@ class ProcessorConfig:
         name: str = "cpu",
         telemetry: Optional[Telemetry] = None,
     ) -> ClockDomain:
-        return ClockDomain(
-            sim=sim,
-            n_cores=self.n_cores,
-            pstates=self.pstate_table(),
-            cstates=self.cstate_table(),
-            power_model=PowerModel(self.power),
-            dvfs_timing=self.dvfs_timing(),
-            initial_pstate=self.initial_pstate,
-            trace=trace,
-            name=name,
-            telemetry=telemetry,
-        )
+        """A chip-wide package: one clock domain over all cores."""
+        (domain,) = self.build_domains(sim, trace=trace, name=name, telemetry=telemetry)
+        return domain
+
+    def build_domains(
+        self,
+        sim: Simulator,
+        per_core: bool = False,
+        trace: Optional[TraceRecorder] = None,
+        name: str = "cpu",
+        telemetry: Optional[Telemetry] = None,
+    ) -> List[ClockDomain]:
+        """The package's clock domains: one chip-wide domain called
+        ``name``, or (``per_core``) one single-core domain per core called
+        ``<name>.domain<i>``.  All share one P/C-state table, power model
+        and telemetry."""
+        telemetry = ensure_telemetry(telemetry, trace)
+        pstates = self.pstate_table()
+        cstates = self.cstate_table()
+        power_model = PowerModel(self.power)
+        timing = self.dvfs_timing()
+        if per_core:
+            layout = [(f"{name}.domain{i}", 1, i) for i in range(self.n_cores)]
+        else:
+            layout = [(name, self.n_cores, 0)]
+        return [
+            ClockDomain(
+                sim=sim,
+                n_cores=n_cores,
+                pstates=pstates,
+                cstates=cstates,
+                power_model=power_model,
+                dvfs_timing=timing,
+                initial_pstate=self.initial_pstate,
+                name=domain_name,
+                core_id_base=core_id_base,
+                telemetry=telemetry,
+            )
+            for domain_name, n_cores, core_id_base in layout
+        ]

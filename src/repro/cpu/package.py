@@ -1,10 +1,12 @@
-"""A processor package: cores sharing one clock/voltage domain.
+"""A processor package: its cores grouped into clock/voltage domains.
 
 Matching the paper's i7-3770-like setup (and its single-queue NIC), DVFS is
-**chip-wide**: all cores share the P-state, while C-states are per-core.
-A per-core-DVFS variant (the paper's Section 7 multi-queue discussion) is
-provided by constructing one single-core domain per core — see
-``repro.cluster.node``.
+**chip-wide**: one :class:`ClockDomain` holds every core, so all cores
+share the P-state, while C-states are per-core.  The per-core-DVFS variant
+(the paper's Section 7 multi-queue discussion) builds one single-core
+domain per core instead; :class:`Package` is the node-level view of either
+shape — see :meth:`repro.cpu.config.ProcessorConfig.build_domains` and the
+``per_core`` policy option in ``repro.cluster.policies``.
 
 P-state transitions follow :class:`repro.cpu.pstates.DVFSTimingModel`:
 voltage ramps first on an upward transition (cores keep running), then all
@@ -15,7 +17,7 @@ is applied after the in-flight transition completes.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.cpu.core import Core
 from repro.cpu.cstates import CStateTable
@@ -27,7 +29,23 @@ from repro.sim.trace import TraceRecorder
 from repro.telemetry import PStateChange, Telemetry, ensure_telemetry
 
 
-class ClockDomain:
+class _CoreGroup:
+    """Energy and busy-time accounting over ``self.cores``."""
+
+    cores: List[Core]
+
+    def energy_report(self) -> EnergyReport:
+        """Aggregate energy/residency across all cores (finalizes segments)."""
+        report = EnergyReport()
+        for core in self.cores:
+            report = report.merge(core.meter.report())
+        return report
+
+    def busy_ns_per_core(self) -> List[int]:
+        return [core.busy_ns_total() for core in self.cores]
+
+
+class ClockDomain(_CoreGroup):
     """Cores under one shared V/F domain with ACPI-style P-state control."""
 
     def __init__(
@@ -171,14 +189,38 @@ class ClockDomain:
             self._queued_target = None
             self.set_pstate(queued)
 
-    # -- accounting ---------------------------------------------------------------
 
-    def energy_report(self) -> EnergyReport:
-        """Aggregate energy/residency across all cores (finalizes segments)."""
-        report = EnergyReport()
-        for core in self.cores:
-            report = report.merge(core.meter.report())
-        return report
+class Package(_CoreGroup):
+    """A node's processor: one chip-wide domain or one domain per core.
 
-    def busy_ns_per_core(self) -> List[int]:
-        return [core.busy_ns_total() for core in self.cores]
+    Domains share the P/C-state tables and the power model.  ``cores`` is
+    every domain's cores in core-id order; the energy, residency and
+    busy-time accounting the meters, the recorder and the auditor read
+    sums over them.  ``frequency_hz`` and ``pstate_index`` report the
+    fastest domain; :meth:`set_pstate` requests a P-state on every domain.
+    """
+
+    def __init__(self, domains: Sequence[ClockDomain]):
+        self.domains: List[ClockDomain] = list(domains)
+        first = self.domains[0]
+        self.pstates = first.pstates
+        self.cstates = first.cstates
+        self.power_model = first.power_model
+        self.telemetry = first.telemetry
+        self.cores: List[Core] = [c for d in self.domains for c in d.cores]
+
+    @property
+    def max_frequency_hz(self) -> float:
+        return self.pstates.p0.freq_hz
+
+    @property
+    def frequency_hz(self) -> float:
+        return max(d.frequency_hz for d in self.domains)
+
+    @property
+    def pstate_index(self) -> int:
+        return min(d.pstate_index for d in self.domains)
+
+    def set_pstate(self, index: int) -> None:
+        for domain in self.domains:
+            domain.set_pstate(index)

@@ -3,8 +3,8 @@
 :class:`RunSettings` moved to :mod:`repro.harness.settings` when the sweep
 harness grew underneath the experiment layer; it is re-exported here so
 ``from repro.experiments.common import RunSettings`` keeps working.
-:func:`run_window` drives the one-server stars the experiment runners
-build outside :class:`~repro.cluster.simulation.Cluster`.
+:func:`run_window` drives a one-server star built outside
+:class:`~repro.cluster.simulation.Cluster` (the load-dynamics runner's).
 """
 
 from __future__ import annotations

@@ -2,11 +2,11 @@
 
 The paper argues a multi-queue NIC lets NCAP retune only the target core,
 improving on the chip-wide P/C-state changes its evaluation platform
-forces.  This experiment runs the same workload against:
+forces.  This experiment runs the same workload under:
 
-- the chip-wide :class:`ServerNode` under ``ncap.cons``, and
-- the :class:`PerCoreServerNode` (per-core V/F domains, one NCAP per
-  rx queue, RFS-style core affinity),
+- ``ncap.cons`` — chip-wide DVFS, one NCAP engine on the single rx queue;
+- ``ncap.percore`` — per-core V/F domains, one rx queue and NCAP engine
+  per core, RFS-style core affinity,
 
 and reports latency and energy side by side.
 """
@@ -16,17 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.apps.client import OpenLoopClient, request_factory
-from repro.apps.workload import burst_period_ns, default_burst_size, load_level, sla_for
-from repro.cluster.node import WindowMeter
-from repro.cluster.percore_node import PerCoreServerNode
+from repro.apps.workload import load_level
 from repro.cluster.simulation import ExperimentConfig, run_experiment
-from repro.experiments.common import RunSettings, run_window
+from repro.experiments.common import RunSettings
 from repro.harness import Runner
 from repro.metrics.report import format_table
-from repro.net.switch import Switch
-from repro.sim.kernel import Simulator
-from repro.sim.rng import RngRegistry
+
+#: (row label, policy) of the two variants, in report order.
+VARIANTS = (("ncap.cons (chip-wide)", "ncap.cons"), ("ncap.percore", "ncap.percore"))
 
 
 @dataclass
@@ -39,72 +36,34 @@ class VariantResult:
     wake_posts: int
 
 
-def run_percore(
-    app: str,
-    target_rps: float,
-    settings: RunSettings = RunSettings.standard(),
-    n_clients: int = 3,
-    fcons: int = 5,
+def _variant_row(
+    variant: str, policy: str, app: str, target_rps: float, settings: RunSettings
 ) -> VariantResult:
-    """One run of the per-core NCAP server in the standard star topology."""
-    sim = Simulator()
-    rng = RngRegistry(settings.seed)
-    server = PerCoreServerNode(sim, "server", app, rng, fcons=fcons)
-    switch = Switch(sim)
-    burst_size = default_burst_size(app)
-    period = burst_period_ns(target_rps, n_clients, burst_size)
-    clients: List[OpenLoopClient] = []
-    for i in range(n_clients):
-        name = f"client{i}"
-        clients.append(
-            OpenLoopClient(
-                sim, name, request_factory(app, name, "server", rng),
-                burst_size=burst_size, burst_period_ns=period,
-                jitter_rng=rng.stream(f"{name}.jitter"), jitter_fraction=0.30,
-            )
-        )
-    for device in [server, *clients]:
-        switch.connect(device)
-
-    server.start()
-    meter = WindowMeter(server.processor, None)
-    latency = run_window(sim, meter, clients, settings)
-    return VariantResult(
-        variant="ncap.percore",
-        p95_ms=latency.p95_ns / 1e6,
-        p99_ms=latency.p99_ns / 1e6,
-        energy_j=meter.energy().energy_j,
-        meets_sla=latency.meets_sla(sla_for(app)),
-        wake_posts=server.total_it_high_posts() + server.total_immediate_rx_posts(),
-    )
-
-
-def _chipwide_task(args) -> VariantResult:
-    app, target_rps, settings = args
     result = run_experiment(
         ExperimentConfig.from_settings(
-            settings, app=app, policy="ncap.cons", target_rps=target_rps,
+            settings, app=app, policy=policy, target_rps=target_rps,
         )
     )
+    stats = result.ncap_stats
     return VariantResult(
-        variant="ncap.cons (chip-wide)",
+        variant=variant,
         p95_ms=result.latency.p95_ns / 1e6,
         p99_ms=result.latency.p99_ns / 1e6,
         energy_j=result.energy.energy_j,
         meets_sla=result.meets_sla,
-        wake_posts=result.ncap_stats.get("it_high_posts", 0)
-        + result.ncap_stats.get("immediate_rx_posts", 0),
+        wake_posts=stats.get("it_high_posts", 0) + stats.get("immediate_rx_posts", 0),
     )
 
 
-def _percore_task(args) -> VariantResult:
-    app, target_rps, settings = args
-    return run_percore(app, target_rps, settings=settings)
+def run_percore(
+    app: str, target_rps: float, settings: RunSettings = RunSettings.standard()
+) -> VariantResult:
+    """One run of the per-core NCAP server (``ncap.percore``)."""
+    return _variant_row("ncap.percore", "ncap.percore", app, target_rps, settings)
 
 
-def _variant_task(task) -> VariantResult:
-    fn, args = task
-    return fn(args)
+def _variant_task(args) -> VariantResult:
+    return _variant_row(*args)
 
 
 def run(
@@ -115,9 +74,9 @@ def run(
 ) -> List[VariantResult]:
     """Chip-wide ncap.cons versus per-core NCAP on the same workload."""
     level = load_level(app, load)
-    args = (app, level.target_rps, settings)
     return Runner(jobs=jobs).map(
-        _variant_task, [(_chipwide_task, args), (_percore_task, args)]
+        _variant_task,
+        [(variant, policy, app, level.target_rps, settings) for variant, policy in VARIANTS],
     )
 
 

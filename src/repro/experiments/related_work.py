@@ -4,7 +4,8 @@ The paper argues (without measuring) that NCAP beats Adrenaline because
 it detects latency-critical requests "at the lowest network layer", needs
 no special on-chip voltage regulators, and also *lowers* performance
 proactively by watching the transmit rate.  With both systems implemented
-on the same substrate, this experiment measures the comparison.
+on the same substrate — the baseline is the ``adrenaline`` policy — this
+experiment measures the comparison.
 
 Note what the baseline gets that NCAP does not: per-core VRs that switch
 in ~100 ns.  What it pays: software detection only after the packet has
@@ -17,17 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.apps.client import OpenLoopClient, request_factory
-from repro.apps.workload import burst_period_ns, default_burst_size, load_level, sla_for
-from repro.cluster.node import WindowMeter
+from repro.apps.workload import load_level
 from repro.cluster.simulation import ExperimentConfig, run_experiment
-from repro.experiments.common import RunSettings, run_window
-from repro.ext.adrenaline import AdrenalineServerNode
+from repro.experiments.common import RunSettings
 from repro.harness import Runner
 from repro.metrics.report import format_table
-from repro.net.switch import Switch
-from repro.sim.kernel import Simulator
-from repro.sim.rng import RngRegistry
+
+#: The compared policies, in report order.
+SYSTEMS = ("ncap.cons", "ncap.sw", "adrenaline")
 
 
 @dataclass
@@ -39,47 +37,9 @@ class BaselineRow:
     meets_sla: bool
 
 
-def run_adrenaline(
-    app: str,
-    target_rps: float,
-    settings: RunSettings = RunSettings.standard(),
-    n_clients: int = 3,
+def _system_row(
+    system: str, app: str, target_rps: float, settings: RunSettings
 ) -> BaselineRow:
-    sim = Simulator()
-    rng = RngRegistry(settings.seed)
-    server = AdrenalineServerNode(sim, "server", app, rng)
-    server.start()
-    switch = Switch(sim)
-    burst_size = default_burst_size(app)
-    period = burst_period_ns(target_rps, n_clients, burst_size)
-    clients: List[OpenLoopClient] = []
-    for i in range(n_clients):
-        name = f"client{i}"
-        clients.append(
-            OpenLoopClient(
-                sim, name, request_factory(app, name, "server", rng),
-                burst_size=burst_size, burst_period_ns=period,
-                jitter_rng=rng.stream(f"{name}.jitter"), jitter_fraction=0.30,
-            )
-        )
-    for device in [server, *clients]:
-        switch.connect(device)
-
-    meter = WindowMeter(server.processor, None)
-    latency = run_window(sim, meter, clients, settings)
-    return BaselineRow(
-        system="adrenaline",
-        p95_ms=latency.p95_ns / 1e6,
-        p99_ms=latency.p99_ns / 1e6,
-        energy_j=meter.energy().energy_j,
-        meets_sla=latency.meets_sla(sla_for(app)),
-    )
-
-
-def _system_task(args) -> BaselineRow:
-    system, app, target_rps, settings = args
-    if system == "adrenaline":
-        return run_adrenaline(app, target_rps, settings=settings)
     result = run_experiment(
         ExperimentConfig.from_settings(
             settings, app=app, policy=system, target_rps=target_rps,
@@ -94,6 +54,17 @@ def _system_task(args) -> BaselineRow:
     )
 
 
+def run_adrenaline(
+    app: str, target_rps: float, settings: RunSettings = RunSettings.standard()
+) -> BaselineRow:
+    """One run of the Adrenaline-style baseline (``adrenaline``)."""
+    return _system_row("adrenaline", app, target_rps, settings)
+
+
+def _system_task(args) -> BaselineRow:
+    return _system_row(*args)
+
+
 def run(
     app: str = "memcached",
     load: str = "low",
@@ -102,10 +73,7 @@ def run(
 ) -> List[BaselineRow]:
     """ncap.cons and ncap.sw versus the Adrenaline-style baseline."""
     level = load_level(app, load)
-    tasks = [
-        (system, app, level.target_rps, settings)
-        for system in ("ncap.cons", "ncap.sw", "adrenaline")
-    ]
+    tasks = [(system, app, level.target_rps, settings) for system in SYSTEMS]
     return Runner(jobs=jobs).map(_system_task, tasks)
 
 

@@ -4,10 +4,10 @@
   controller (the paper's Section 7 pointer to [12, 34]);
 - :mod:`repro.ext.adrenaline` — an Adrenaline-style baseline (the
   Section 8 related work): software query detection plus fast per-core
-  on-chip voltage regulators.
+  on-chip voltage regulators, run as the ``adrenaline`` policy.
 """
 
-from repro.ext.adrenaline import AdrenalineServerNode
+from repro.ext.adrenaline import AdrenalineGovernor
 from repro.ext.slack import SlackController
 
-__all__ = ["AdrenalineServerNode", "SlackController"]
+__all__ = ["AdrenalineGovernor", "SlackController"]

@@ -9,175 +9,101 @@ Section 8 of the NCAP paper contrasts itself with Adrenaline, which
   clock-delivery circuits that can switch in tens of nanoseconds,
   unboosting when the query completes.
 
-This module implements that design on our substrate so the comparison can
-be measured instead of argued: per-core V/F domains with a near-instant
-DVFS timing model (the on-chip VR), SoftIRQ-context query detection (with
-its per-packet cycle cost, like ncap.sw), per-core boost on query start,
-and unboost when a core's last outstanding latency-critical query
-finishes.  No NIC changes at all — that is the point of the baseline.
+The ``adrenaline`` policy runs that design on our substrate so the
+comparison can be measured instead of argued: a ``per_core`` ServerNode
+(one V/F domain and rx queue per core) whose processor gets a
+near-instant DVFS timing model (:func:`fast_vr_processor`, the on-chip
+VR), and whose P-state governor is :class:`AdrenalineGovernor` —
+SoftIRQ-context query detection with its per-packet cycle cost (like
+ncap.sw), per-core boost on query start, and unboost when a core's last
+outstanding latency-critical query finishes.  No NIC changes at all —
+that is the point of the baseline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from dataclasses import replace
+from typing import Set
 
-from repro.apps.apache import ApacheApp, ApacheProfile
-from repro.apps.memcached import MemcachedApp, MemcachedProfile
+from repro.apps.base import ServerApp
 from repro.core.req_monitor import ReqMonitor
 from repro.cpu.config import ProcessorConfig
-from repro.cpu.multidomain import MultiDomainProcessor
 from repro.net.driver import NICDriver
-from repro.net.interrupts import ModerationConfig
-from repro.net.link import LinkPort
-from repro.net.multiqueue import MultiQueueNIC
 from repro.net.packet import Frame
 from repro.oskernel.cpufreq import CpufreqDriver
-from repro.oskernel.cpuidle import CpuidleDriver, MenuGovernor
-from repro.oskernel.irq import IRQController
-from repro.oskernel.netstack import NetStackCosts
-from repro.oskernel.scheduler import Scheduler
-from repro.sim.kernel import Simulator
-from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceRecorder
+from repro.telemetry import Telemetry
+
+#: On-chip VR switching time (tens of ns in the Adrenaline paper).
+VR_SWITCH_NS = 100
+#: SoftIRQ cycles per packet for software query classification.
+INSPECT_CYCLES_PER_PACKET = 1_500.0
+#: P-state a core runs at with no latency-critical query outstanding.
+IDLE_PSTATE = 14
+#: Payload templates that mark a latency-critical query.
+TEMPLATES = (b"GET", b"get")
 
 
-@dataclass(frozen=True)
-class AdrenalineConfig:
-    """Tunables of the Adrenaline-style baseline."""
-
-    #: On-chip VR switching time (tens of ns in the Adrenaline paper).
-    vr_switch_ns: int = 100
-    #: SoftIRQ cycles per packet for software query classification.
-    inspect_cycles_per_packet: float = 1_500.0
-    #: P-state used when a core has no outstanding boosted queries.
-    idle_pstate: int = 14
-    templates: tuple = (b"GET", b"get")
+def fast_vr_processor(processor: ProcessorConfig) -> ProcessorConfig:
+    """``processor`` behind per-core on-chip VRs: V swings instantly, the
+    clock relocks in :data:`VR_SWITCH_NS`, and cores start unboosted."""
+    return replace(
+        processor,
+        v_ramp_rate_mv_per_us=1e9,
+        pll_relock_us=VR_SWITCH_NS / 1000,
+        initial_pstate=IDLE_PSTATE,
+    )
 
 
-class AdrenalineServerNode:
-    """Per-query V/F boosting with software detection (no NIC changes)."""
+class AdrenalineGovernor:
+    """Per-query V/F boosting of one clock domain.
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        app: str,
-        rng: RngRegistry,
-        trace: Optional[TraceRecorder] = None,
-        processor: ProcessorConfig = ProcessorConfig(),
-        netstack: NetStackCosts = NetStackCosts(),
-        moderation: ModerationConfig = ModerationConfig(),
-        config: AdrenalineConfig = AdrenalineConfig(),
-        apache_profile: Optional[ApacheProfile] = None,
-        memcached_profile: Optional[MemcachedProfile] = None,
-    ):
-        self.sim = sim
-        self.name = name
-        self.config = config
-        # Fast per-core VRs: near-instant transitions, no shared V ramp.
-        fast_processor = replace(
-            processor,
-            v_ramp_rate_mv_per_us=1e9,  # the on-chip VR swings V instantly
-            pll_relock_us=config.vr_switch_ns / 1000,
-            initial_pstate=config.idle_pstate,
+    :meth:`attach` wires it to the domain's NIC driver (a SoftIRQ tap that
+    classifies each delivered frame, paying
+    :data:`INSPECT_CYCLES_PER_PACKET`) and to the app's response hook.
+    Boost and unboost counts are node-wide registry counters.
+    """
+
+    name = "adrenaline"
+
+    def __init__(self, cpufreq: CpufreqDriver, telemetry: Telemetry):
+        self._cpufreq = cpufreq
+        self._monitor = ReqMonitor(
+            TEMPLATES, telemetry=telemetry, stats_prefix="adrenaline"
         )
-        self.processor = MultiDomainProcessor(
-            sim, fast_processor, trace=trace, name=f"{name}.cpu"
-        )
-        self.scheduler = Scheduler(sim, self.processor)
-        self.irq = IRQController(sim, self.processor)
-        self.cpuidle = CpuidleDriver(MenuGovernor(self.processor.cstates))
-        self.scheduler.idle_hook = self.cpuidle.on_core_idle
-        self.cpufreq: List[CpufreqDriver] = [
-            CpufreqDriver(sim, domain) for domain in self.processor.domains
-        ]
+        self._outstanding = 0
+        self._queries: Set[int] = set()
+        self._boosts = telemetry.counter("governor.adrenaline.boosts")
+        self._unboosts = telemetry.counter("governor.adrenaline.unboosts")
 
-        n_queues = processor.n_cores
-        self.nic = MultiQueueNIC(
-            sim, name=name, n_queues=n_queues, moderation=moderation, trace=trace
-        )
-        self.monitor = ReqMonitor(config.templates)
-
-        app_rng = rng.stream(f"{name}.{app}")
-        if app == "apache":
-            self.app = ApacheApp(
-                sim, self.scheduler, None, netstack, app_rng, name=name,
-                profile=apache_profile or ApacheProfile(),
-            )
-        elif app == "memcached":
-            self.app = MemcachedApp(
-                sim, self.scheduler, None, netstack, app_rng, name=name,
-                profile=memcached_profile or MemcachedProfile(),
-            )
-        else:
-            raise ValueError(f"unknown app {app!r}")
-
-        self._outstanding: Dict[int, int] = {i: 0 for i in range(n_queues)}
-        self._req_core: Dict[int, int] = {}
-        self.boosts = 0
-        self.unboosts = 0
-        self.drivers: List[NICDriver] = []
-        for i, queue in enumerate(self.nic.queues):
-            driver = NICDriver(sim, queue, self.irq, netstack, core_id=i)  # type: ignore[arg-type]
-            # Software classification in SoftIRQ context, with its cost.
-            driver.extra_rx_cycles_per_packet += config.inspect_cycles_per_packet
-            driver.packet_sink = self._make_sink(i)
-            self.drivers.append(driver)
-        self.app._driver = self.drivers[0]
-
-    # -- per-query boosting --------------------------------------------------
-
-    def _make_sink(self, core_id: int):
-        def sink(frame: Frame) -> None:
-            boosted = False
-            if frame.kind == "request" and self.monitor.inspect(frame):
-                boosted = True
-                self._query_started(core_id, frame)
-            self.app.affinity_hint = core_id
-            try:
-                self.app.on_packet(frame)
-            finally:
-                self.app.affinity_hint = None
-            if boosted and frame.req_id is not None:
-                self._req_core[frame.req_id] = core_id
-
-        return sink
-
-    def _query_started(self, core_id: int, frame: Frame) -> None:
-        self._outstanding[core_id] += 1
-        if self._outstanding[core_id] == 1:
-            self.boosts += 1
-            self.cpufreq[core_id].set_pstate(0)
-
-    def _query_finished(self, req_id: int) -> None:
-        core_id = self._req_core.pop(req_id, None)
-        if core_id is None:
-            return
-        self._outstanding[core_id] -= 1
-        if self._outstanding[core_id] <= 0:
-            self._outstanding[core_id] = 0
-            self.unboosts += 1
-            self.cpufreq[core_id].set_pstate(self.config.idle_pstate)
-
-    # -- link endpoint ------------------------------------------------------
-
-    def receive_frame(self, frame: Frame) -> None:
-        self.nic.receive_frame(frame)
-
-    def attach_port(self, port: LinkPort) -> None:
-        self.nic.attach_port(port)
+    def attach(self, driver: NICDriver, app: ServerApp) -> None:
+        driver.rx_sw_taps.append(self.on_rx)
+        driver.extra_rx_cycles_per_packet += INSPECT_CYCLES_PER_PACKET
+        app.response_listeners.append(self.on_response)
 
     def start(self) -> None:
-        # Hook query completion: a response leaving the app ends its query.
-        original = self.app._send_response
-
-        def send_and_unboost(frame: Frame, size: int, track=None) -> None:
-            original(frame, size, track)
-            if frame.req_id is not None:
-                self._query_finished(frame.req_id)
-
-        self.app._send_response = send_and_unboost  # type: ignore[method-assign]
+        pass
 
     def stop(self) -> None:
         pass
+
+    def on_rx(self, frame: Frame) -> None:
+        """A frame reached the stack: a latency-critical query starts here."""
+        if frame.kind != "request" or not self._monitor.inspect(frame):
+            return
+        self._outstanding += 1
+        if self._outstanding == 1:
+            self._boosts.inc()
+            self._cpufreq.set_pstate(0)
+        if frame.req_id is not None:
+            self._queries.add(frame.req_id)
+
+    def on_response(self, frame: Frame) -> None:
+        """A response left: unboost once this domain has no query left."""
+        if frame.req_id not in self._queries:
+            return
+        self._queries.remove(frame.req_id)
+        self._outstanding -= 1
+        if self._outstanding <= 0:
+            self._outstanding = 0
+            self._unboosts.inc()
+            self._cpufreq.set_pstate(IDLE_PSTATE)

@@ -30,7 +30,11 @@ from repro.telemetry import RequestPhase
 
 
 class NICDriver:
-    """Kernel driver bound to one NIC."""
+    """Kernel driver bound to one rx queue of a NIC (queue 0 by default).
+
+    Received frames come from the queue; transmits go out through the
+    NIC's shared tx path.
+    """
 
     def __init__(
         self,
@@ -41,15 +45,17 @@ class NICDriver:
         core_id: int = 0,
         napi_budget: int = 64,
         stats_prefix: str = "driver",
+        queue_id: int = 0,
     ):
         self._sim = sim
         self.nic = nic
+        self.queue = nic.queues[queue_id]
         self._irq = irq
         self.costs = costs
         self.core_id = core_id
         self.napi_budget = napi_budget
 
-        nic.on_interrupt = self._post_hardirq
+        self.queue.on_interrupt = self._post_hardirq
 
         #: Destination for received frames (the application's socket).
         self.packet_sink: Optional[Callable[[Frame], None]] = None
@@ -93,12 +99,11 @@ class NICDriver:
 
     def _hardirq_body(self) -> None:
         self._hardirqs.inc()
-        bits = self.nic.read_icr()
+        bits = self.queue.read_icr()
         for hook in self.icr_hooks:
             hook(bits)
-        take_completions = getattr(self.nic, "take_tx_completions", None)
-        if bits & ICR.IT_TX and take_completions is not None:
-            completed = take_completions()
+        if bits & ICR.IT_TX:
+            completed = self.nic.take_tx_completions()
             if completed:
                 self._tx_reclaimed.inc(completed)
                 self._irq.raise_softirq(
@@ -107,11 +112,11 @@ class NICDriver:
                     self.core_id,
                     name="tx-reclaim",
                 )
-        if self.nic.rx_pending:
+        if self.queue.rx_pending:
             self._schedule_napi()
 
     def _schedule_napi(self) -> None:
-        batch = self.nic.take_rx(self.napi_budget)
+        batch = self.queue.take_rx(self.napi_budget)
         if not batch:
             return
         cycles = self.costs.rx_batch_cycles(len(batch))
@@ -136,7 +141,7 @@ class NICDriver:
             if self.packet_sink is not None:
                 self.packet_sink(frame)
         # NAPI re-poll: drain anything that landed while we processed.
-        if self.nic.rx_pending:
+        if self.queue.rx_pending:
             self._schedule_napi()
 
     # -- transmit path -------------------------------------------------------

@@ -158,3 +158,16 @@ class TestClusterChecks:
         )
         result = run_experiment(config, audit=True)
         assert result.responses_received > 0
+
+    @pytest.mark.parametrize("policy", ["ncap.percore", "adrenaline"])
+    def test_per_core_runs_pass_audit(self, policy):
+        from repro.cluster.simulation import ExperimentConfig, run_experiment
+        from repro.sim.units import MS
+
+        config = ExperimentConfig(
+            app="memcached", policy=policy, target_rps=30_000,
+            warmup_ns=5 * MS, measure_ns=30 * MS, drain_ns=20 * MS,
+        )
+        result = run_experiment(config, audit=True, energy_attribution=True)
+        assert result.responses_received > 0
+        assert result.energy_attribution.governor == "menu"

@@ -143,7 +143,9 @@ class TestPayload:
 
 
 class TestConservation:
-    @pytest.mark.parametrize("policy", ["ond.idle", "ncap.cons", "perf"])
+    @pytest.mark.parametrize(
+        "policy", ["ond.idle", "ncap.cons", "perf", "ncap.percore", "adrenaline"]
+    )
     def test_window_conservation_under_audit(self, policy):
         result = quick_run(policy, energy_attribution=True, audit=True)
         attr = result.energy_attribution

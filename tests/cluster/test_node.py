@@ -42,7 +42,7 @@ class TestWiring:
         assert node.ncap_ext.on_icr in node.driver.icr_hooks
         assert node.engine is node.ncap_hw.engine
         # ReqMonitor is tapped into the NIC hardware rx path.
-        assert node.ncap_hw.req_monitor.inspect in node.nic.rx_hw_taps
+        assert node.ncap_hw.req_monitor.inspect in node.nic.queues[0].rx_hw_taps
 
     def test_ncap_sw_wiring(self):
         sim, node = make_node("ncap.sw")

@@ -6,9 +6,26 @@ from repro.cluster.policies import POLICIES, POLICY_ORDER, PolicyConfig, get_pol
 
 
 class TestRegistry:
-    def test_seven_policies(self):
-        assert len(POLICIES) == 7
-        assert set(POLICY_ORDER) == set(POLICIES)
+    def test_paper_seven_plus_two_extensions(self):
+        assert len(POLICIES) == 9
+        assert len(POLICY_ORDER) == 7
+        assert set(POLICY_ORDER) < set(POLICIES)
+        assert set(POLICIES) - set(POLICY_ORDER) == {"ncap.percore", "adrenaline"}
+
+    def test_extension_policy_definitions(self):
+        percore = POLICIES["ncap.percore"]
+        assert percore.per_core
+        assert (percore.governor, percore.cstates, percore.cpuidle_governor) == (
+            "ondemand", True, "menu",
+        )
+        assert (percore.ncap, percore.fcons) == ("hw", 5)
+        adrenaline = POLICIES["adrenaline"]
+        assert adrenaline.per_core
+        assert (adrenaline.governor, adrenaline.cstates, adrenaline.cpuidle_governor) == (
+            "adrenaline", True, "menu",
+        )
+        assert not adrenaline.uses_ncap
+        assert not any(POLICIES[name].per_core for name in POLICY_ORDER)
 
     def test_paper_policy_definitions(self):
         assert POLICIES["perf"].governor == "performance"
@@ -64,3 +81,7 @@ class TestPolicyConfig:
             PolicyConfig("x", governor="turbo")
         with pytest.raises(ValueError):
             PolicyConfig("x", ncap="firmware")
+        with pytest.raises(ValueError, match="chip-wide"):
+            PolicyConfig("x", governor="ondemand", ncap="sw", per_core=True)
+        with pytest.raises(ValueError, match="per_core"):
+            PolicyConfig("x", governor="adrenaline")

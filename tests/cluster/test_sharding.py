@@ -119,8 +119,9 @@ class TestWindow:
 
 
 class TestShardParityClientMode:
-    def test_shard_count_and_pool_invariance(self):
-        config = client_config()
+    @pytest.mark.parametrize("policy", ["ncap.cons", "ncap.percore", "adrenaline"])
+    def test_shard_count_and_pool_invariance(self, policy):
+        config = replace(client_config(), policy=policy)
         serial = run_datacenter(replace(config, n_shards=1), jobs=1)
         sharded = run_datacenter(replace(config, n_shards=2), jobs=1)
         pooled = run_datacenter(replace(config, n_shards=2), jobs=2)

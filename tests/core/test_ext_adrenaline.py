@@ -1,8 +1,9 @@
-"""Tests for the Adrenaline-style baseline extension."""
+"""Tests for the Adrenaline-style baseline (the ``adrenaline`` policy)."""
 
 import pytest
 
-from repro.ext.adrenaline import AdrenalineConfig, AdrenalineServerNode
+from repro.cluster.node import ServerNode
+from repro.ext.adrenaline import IDLE_PSTATE, INSPECT_CYCLES_PER_PACKET, VR_SWITCH_NS
 from repro.net import make_http_request, make_memcached_request
 from repro.sim import RngRegistry, Simulator
 from repro.sim.units import MS, US
@@ -15,14 +16,16 @@ class SinkPort:
         pass
 
 
-def make_node(app="memcached", config=None):
+def make_node(app="memcached"):
     sim = Simulator()
-    node = AdrenalineServerNode(
-        sim, "server", app, RngRegistry(5), config=config or AdrenalineConfig()
-    )
+    node = ServerNode(sim, "server", "adrenaline", app, RngRegistry(5))
     node.attach_port(SinkPort())
     node.start()
     return sim, node
+
+
+def count(node, what):
+    return node.telemetry.stats.value(f"governor.adrenaline.{what}")
 
 
 class TestBoosting:
@@ -33,12 +36,9 @@ class TestBoosting:
         node.nic.receive_frame(frame)
         sim.run(until=MS)
         # Boosted on query start; by now the query completed and unboosted.
-        assert node.boosts == 1
-        assert node.unboosts == 1
-        assert (
-            node.processor.domains[target].pstate_index
-            == node.config.idle_pstate
-        )
+        assert count(node, "boosts") == 1
+        assert count(node, "unboosts") == 1
+        assert node.package.domains[target].pstate_index == IDLE_PSTATE
 
     def test_boost_only_while_queries_outstanding(self):
         sim, node = make_node()
@@ -47,7 +47,9 @@ class TestBoosting:
         node.nic.receive_frame(frame)
         # Shortly after softirq delivery the domain heads to P0.
         sim.run(until=80 * US)
-        assert node.processor.domains[target].effective_target_index == 0
+        assert node.package.domains[target].effective_target_index == 0
+        others = [d for i, d in enumerate(node.package.domains) if i != target]
+        assert all(d.effective_target_index == IDLE_PSTATE for d in others)
 
     def test_non_critical_requests_not_boosted(self):
         sim, node = make_node()
@@ -55,7 +57,7 @@ class TestBoosting:
             make_memcached_request("client0", "server", command="set", req_id=2)
         )
         sim.run(until=MS)
-        assert node.boosts == 0
+        assert count(node, "boosts") == 0
 
     def test_overlapping_queries_single_boost_cycle(self):
         sim, node = make_node()
@@ -67,18 +69,18 @@ class TestBoosting:
             )
         sim.run(until=3 * MS)
         # All ten on one flow/core; boost once, unboost once at the end.
-        assert node.boosts == 1
-        assert node.unboosts == 1
+        assert count(node, "boosts") == 1
+        assert count(node, "unboosts") == 1
         assert node.app.responses_sent == 10
 
     def test_vr_switching_is_fast(self):
         # The on-chip VR model: a full-range transition takes ~the
         # configured switch time, not the 93 us of the shared regulator.
         sim, node = make_node()
-        domain = node.processor.domains[0]
+        domain = node.package.domains[0]
         timing = domain.dvfs_timing
         total = timing.total_latency_ns(domain.pstates.deepest, domain.pstates.p0)
-        assert total <= 2 * node.config.vr_switch_ns
+        assert total <= 2 * VR_SWITCH_NS
 
     def test_apache_variant_works(self):
         sim, node = make_node(app="apache")
@@ -88,10 +90,17 @@ class TestBoosting:
 
     def test_unknown_app_rejected(self):
         with pytest.raises(ValueError):
-            AdrenalineServerNode(Simulator(), "s", "nginx", RngRegistry(1))
+            ServerNode(Simulator(), "s", "adrenaline", "nginx", RngRegistry(1))
 
     def test_inspection_cost_charged(self):
-        config = AdrenalineConfig(inspect_cycles_per_packet=50_000)
-        sim, node = make_node(config=config)
-        for driver in node.drivers:
-            assert driver.extra_rx_cycles_per_packet == 50_000
+        sim, node = make_node()
+        for domain in node.domains:
+            assert domain.driver.extra_rx_cycles_per_packet == INSPECT_CYCLES_PER_PACKET
+            assert domain.governor.on_rx in domain.driver.rx_sw_taps
+
+    def test_unboost_rides_the_response_hook(self):
+        sim, node = make_node()
+        hooks = node.app.response_listeners
+        assert [d.governor.on_response for d in node.domains] == hooks
+        # The app's own response path is untouched (no per-instance patch).
+        assert "_send_response" not in vars(node.app)

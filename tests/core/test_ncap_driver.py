@@ -25,7 +25,7 @@ def make(fcons=5, initial_pstate=14, with_ondemand=False):
     scheduler.idle_hook = cpuidle.on_core_idle
     ondemand = OndemandGovernor(sim, cpufreq, irq) if with_ondemand else None
     ext = NCAPDriverExtension(
-        NCAPConfig(fcons=fcons), cpufreq, scheduler, cpuidle=cpuidle, ondemand=ondemand
+        NCAPConfig(fcons=fcons), cpufreq, cpuidle=cpuidle, ondemand=ondemand
     )
     return sim, package, scheduler, cpufreq, cpuidle, ondemand, ext
 
@@ -59,13 +59,17 @@ class TestITHigh:
         sim.run()
         assert all(c.state is not CoreState.SLEEP for c in package.cores)
 
-    def test_wake_all_can_be_disabled(self):
-        sim, package, scheduler, _, _, _, ext = make()
-        ext.wake_all_on_high = False
-        package.cores[1].enter_sleep(package.cstates.by_name("C6"))
+    def test_wakes_only_its_domains_cores(self):
+        # Per-core DVFS: the extension of domain 0 leaves domain 1 asleep.
+        sim = Simulator()
+        domains = ProcessorConfig(n_cores=2).build_domains(sim, per_core=True)
+        ext = NCAPDriverExtension(NCAPConfig(), CpufreqDriver(sim, domains[0]))
+        for domain in domains:
+            domain.cores[0].enter_sleep(domain.cstates.by_name("C6"))
         ext.on_icr(ICR.IT_HIGH)
         sim.run()
-        assert package.cores[1].state is CoreState.SLEEP
+        assert domains[0].cores[0].state is not CoreState.SLEEP
+        assert domains[1].cores[0].state is CoreState.SLEEP
 
     def test_counts(self):
         sim, package, _, _, _, _, ext = make()

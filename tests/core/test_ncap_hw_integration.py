@@ -44,7 +44,7 @@ class Rig:
             trace=trace,
         )
         self.ext = NCAPDriverExtension(
-            self.config, self.cpufreq, self.scheduler, cpuidle=self.cpuidle
+            self.config, self.cpufreq, cpuidle=self.cpuidle
         )
         self.driver.icr_hooks.append(self.ext.on_icr)
         self.delivered = []

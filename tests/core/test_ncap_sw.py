@@ -32,7 +32,7 @@ class Rig:
         self.driver.packet_sink = lambda f: None
         self.config = config or NCAPConfig(fcons=1)
         self.ext = NCAPDriverExtension(
-            self.config, self.cpufreq, self.scheduler, cpuidle=self.cpuidle
+            self.config, self.cpufreq, cpuidle=self.cpuidle
         )
         self.sw = NCAPSoftware(
             self.sim, self.driver, self.irq, self.config, self.ext, trace=self.trace

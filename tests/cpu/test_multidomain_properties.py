@@ -1,11 +1,14 @@
-"""Property-based tests for per-core clock domains."""
+"""Property-based tests for a multi-domain (per-core DVFS) package."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cpu import Job, ProcessorConfig
-from repro.cpu.multidomain import MultiDomainProcessor
+from repro.cpu import Job, Package, ProcessorConfig
 from repro.sim import Simulator
+
+
+def per_core_package(sim, n_cores=4):
+    return Package(ProcessorConfig(n_cores=n_cores).build_domains(sim, per_core=True))
 
 
 @given(
@@ -21,15 +24,15 @@ from repro.sim import Simulator
 @settings(max_examples=40, deadline=None)
 def test_domains_settle_independently(targets):
     sim = Simulator()
-    proc = MultiDomainProcessor(sim, ProcessorConfig(n_cores=4))
+    package = per_core_package(sim)
     last_target = {i: 0 for i in range(4)}
     by_time = sorted(targets, key=lambda t: t[2])
     for domain_id, index, t in by_time:
-        sim.schedule_at(t, proc.domain_of(domain_id).set_pstate, index)
+        sim.schedule_at(t, package.domains[domain_id].set_pstate, index)
         last_target[domain_id] = index
     sim.run()
     for domain_id, expected in last_target.items():
-        assert proc.domain_of(domain_id).pstate_index == expected
+        assert package.domains[domain_id].pstate_index == expected
 
 
 @given(
@@ -54,7 +57,7 @@ def test_domains_settle_independently(targets):
 def test_work_conserved_across_domains(work, retune):
     """Every job completes exactly once, whatever each domain's V/F does."""
     sim = Simulator()
-    proc = MultiDomainProcessor(sim, ProcessorConfig(n_cores=4))
+    package = per_core_package(sim)
     done = []
     pending = {i: [] for i in range(4)}
     for core_id, cycles in work:
@@ -64,13 +67,13 @@ def test_work_conserved_across_domains(work, retune):
         if not pending[core_id]:
             return
         cycles = pending[core_id].pop()
-        proc.cores[core_id].dispatch(
+        package.cores[core_id].dispatch(
             Job(cycles, on_complete=lambda c=core_id: (done.append(c), submit(c)))
         )
 
     for core_id in range(4):
         submit(core_id)
     for domain_id, index, t in retune:
-        sim.schedule_at(t, proc.domain_of(domain_id).set_pstate, index)
+        sim.schedule_at(t, package.domains[domain_id].set_pstate, index)
     sim.run()
     assert len(done) == len(work)

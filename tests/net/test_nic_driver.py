@@ -76,7 +76,7 @@ class TestRxPath:
     def test_hw_taps_fire_before_dma(self):
         sim, package, nic, driver, _ = make_node()
         tap_times, sink_times = [], []
-        nic.rx_hw_taps.append(lambda f: tap_times.append(sim.now))
+        nic.queues[0].rx_hw_taps.append(lambda f: tap_times.append(sim.now))
         driver.packet_sink = lambda f: sink_times.append(sim.now)
         sim.schedule_at(5 * US, nic.receive_frame, request())
         sim.run()
@@ -175,7 +175,7 @@ class TestNCAPPostPath:
         sim, package, nic, driver, _ = make_node()
         seen = []
         driver.icr_hooks.append(seen.append)
-        nic.post_interrupt_now(ICR.IT_HIGH)
+        nic.queues[0].post_interrupt_now(ICR.IT_HIGH)
         sim.run()
         assert seen and seen[0] & ICR.IT_HIGH
         # Only hardirq-handler cycles elapsed, no moderation wait.
