@@ -12,8 +12,9 @@ Run:  python examples/memcached_burst_tolerance.py
 
 from repro.cluster.node import ServerNode
 from repro.net import make_memcached_request
-from repro.sim import RngRegistry, Simulator, TraceRecorder
+from repro.sim import RngRegistry, Simulator
 from repro.sim.units import MS, US
+from repro.telemetry import Telemetry
 
 
 class SinkPort:
@@ -27,10 +28,17 @@ class SinkPort:
 
 def main() -> None:
     sim = Simulator()
-    trace = TraceRecorder()
+    # Every completed DVFS switch (and the initial operating point) is a
+    # cpu.pstate probe event; subscribe before the node is built.
+    telemetry = Telemetry()
+    freq_changes = []
+    telemetry.probes.subscribe(
+        "cpu.pstate",
+        lambda event: freq_changes.append((event.t_ns, event.freq_hz / 1e9)),
+    )
     server = ServerNode(
         sim, "server", policy="ncap.cons", app="memcached",
-        rng=RngRegistry(7), trace=trace,
+        rng=RngRegistry(7), telemetry=telemetry,
     )
     server.attach_port(SinkPort())
     server.start()
@@ -77,8 +85,7 @@ def main() -> None:
     engine = server.engine
     for t in engine.wake_interrupt_times():
         timeline.append((t, "NCAP posts proactive wake interrupt (IT_RX/IT_HIGH)"))
-    freq = trace.event_channel("server.cpu.freq_ghz")
-    for t, f in zip(freq.times, freq.values):
+    for t, f in freq_changes:
         timeline.append((t, f"frequency -> {f:.2f} GHz"))
 
     print("timeline (ms since start):")

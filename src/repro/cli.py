@@ -61,7 +61,6 @@ from repro.harness import (
     resolve_jobs,
 )
 from repro.metrics.report import format_table
-from repro.sim.units import MS
 
 
 def _settings(args: argparse.Namespace) -> RunSettings:
@@ -248,16 +247,13 @@ def cmd_export_trace(args: argparse.Namespace) -> int:
         app=args.app,
         policy=args.policy,
         target_rps=_resolve_rps(args.app, args.load, None),
-        collect_traces=True,
     )
-    result = run_experiment(config)
-    assert result.trace is not None
+    result = run_experiment(config, record_timeseries="coarse")
     paths = export_figure4_bundle(
-        result.trace,
+        result.timeseries,
         args.out,
         config.warmup_ns,
         config.warmup_ns + config.measure_ns,
-        1 * MS,
     )
     for path in paths:
         print(path)
@@ -1030,7 +1026,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dash.set_defaults(fn=cmd_dashboard)
 
     p_exp = add_parser(
-        "export-trace", help="run traced and dump Figure-4 series as CSV"
+        "export-trace",
+        help="run with the 1 ms flight recorder and dump Figure-4 series as CSV",
     )
     p_exp.add_argument("--app", choices=tuple(LOAD_LEVELS), default="apache")
     p_exp.add_argument("--policy", choices=tuple(POLICIES), default="ond.idle")

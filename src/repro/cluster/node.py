@@ -63,7 +63,6 @@ from repro.oskernel.scheduler import Scheduler
 from repro.oskernel.sysfs import SysFS
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceRecorder
 from repro.sim.units import MS
 from repro.telemetry import Telemetry, ensure_telemetry
 
@@ -130,7 +129,6 @@ class ServerNode:
         policy: Union[str, PolicyConfig],
         app: str,
         rng: RngRegistry,
-        trace: Optional[TraceRecorder] = None,
         telemetry: Optional[Telemetry] = None,
         processor: ProcessorConfig = ProcessorConfig(),
         netstack: NetStackCosts = NetStackCosts(),
@@ -145,28 +143,20 @@ class ServerNode:
         self.name = name
         self.policy = policy = get_policy(policy)
         self.app_name = app
-        self.trace = trace
 
         # One Telemetry instance is shared by every component of the node,
         # so the stats registry namespaces (nic.*, cpuidle.*, governor.*,
         # ncap.*, app.*) all live together and a single snapshot covers the
-        # whole server.  A ChannelSink bridges probe events back into the
-        # legacy trace channels when a TraceRecorder is supplied.  With
-        # several domains, per-domain parts count under ``nic.q<i>``,
-        # ``driver.q<i>``, ``ncap.q<i>`` and ``cpuidle.core<i>``.
-        self.telemetry = ensure_telemetry(telemetry, trace)
+        # whole server.  With several domains, per-domain parts count
+        # under ``nic.q<i>``, ``driver.q<i>``, ``ncap.q<i>`` and
+        # ``cpuidle.core<i>``.
+        self.telemetry = ensure_telemetry(telemetry)
 
         if policy.governor == "adrenaline":
             processor = fast_vr_processor(processor)
         self.package = Package(processor.build_domains(
             sim, policy.per_core, name=f"{name}.cpu", telemetry=self.telemetry
         ))
-        if trace is not None:
-            # Pre-create the per-core C-state channels so traces expose
-            # them even for cores that never sleep (the ChannelSink only
-            # creates channels lazily, on the first transition).
-            for core in self.package.cores:
-                trace.event_channel(f"{name}.core{core.core_id}.cstate")
         self.scheduler = Scheduler(sim, self.package)
         self.irq = IRQController(sim, self.package)
         self.sysfs = SysFS()

@@ -68,7 +68,6 @@ from repro.profiling.fleet import FleetProfile, WindowSample
 from repro.profiling.profiler import SimProfiler
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import NullTraceRecorder
 from repro.telemetry.monitor import RunMonitor, resolve_monitor
 from repro.telemetry.recorder import (
     RecorderConfig,
@@ -191,7 +190,6 @@ class ShardRun:
         if profiler is not None:
             self.sim.set_profiler(profiler)
         self.rng = RngRegistry(config.seed)
-        self._trace = NullTraceRecorder()
         self.switch = Switch(self.sim)
         self.servers: List[ServerNode] = []
         #: One measurement-window meter per server, parallel to ``servers``.
@@ -213,8 +211,7 @@ class ShardRun:
         for i in self.server_indices:
             server_name = f"server{i}"
             server = ServerNode(
-                self.sim, server_name, config.policy, config.app, self.rng,
-                trace=self._trace,
+                self.sim, server_name, config.policy, config.app, self.rng
             )
             self.switch.connect(server)
             self.servers.append(server)
@@ -251,7 +248,7 @@ class ShardRun:
 
             if i in record_indices:
                 self.recorders[server_name] = build_server_recorder(
-                    self.sim, server, recorder_config, trace=self._trace
+                    self.sim, server, recorder_config
                 )
 
     # -- lifecycle -------------------------------------------------------

@@ -25,7 +25,7 @@ from repro.apps.workload import (
 )
 from repro.cluster.node import ServerNode
 from repro.cluster.policies import PolicyConfig, check_policy
-from repro.cluster.recording import build_server_recorder, utilization_source
+from repro.cluster.recording import build_server_recorder
 from repro.core.config import NCAPConfig
 from repro.cpu.config import ProcessorConfig
 from repro.cpu.energy import EnergyReport
@@ -37,9 +37,8 @@ from repro.oskernel.netstack import NetStackCosts
 from repro.profiling.profiler import LoopProfile, SimProfiler
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import NullTraceRecorder, TraceRecorder
 from repro.sim.units import MS, US, gbps
-from repro.telemetry import ChannelSink, Telemetry
+from repro.telemetry import Telemetry
 from repro.telemetry.recorder import (
     TimeSeriesRecorder,
     TimeseriesBundle,
@@ -69,7 +68,6 @@ class ExperimentConfig:
     drain_ns: int = 60 * MS
     seed: int = 1
     ondemand_period_ns: int = 10 * MS
-    collect_traces: bool = False
     link_bandwidth_bps: float = gbps(10)
     link_latency_ns: int = 1 * US
     processor: ProcessorConfig = field(default_factory=ProcessorConfig)
@@ -117,10 +115,10 @@ class ExperimentConfig:
 class ExperimentResult:
     """Everything a bench/table needs from one run.
 
-    ``trace`` and ``server`` are populated only on request
-    (``collect_traces=True`` / ``keep_server=True``): the live server
-    pins the whole simulated cluster in memory and makes the result
-    unpicklable, which sweeps and process-pool runs cannot afford.
+    ``server`` is populated only on request (``keep_server=True``): the
+    live server pins the whole simulated cluster in memory and makes the
+    result unpicklable, which sweeps and process-pool runs cannot afford.
+    Time series come from the flight recorder (``timeseries``).
     """
 
     policy_name: str
@@ -161,7 +159,6 @@ class ExperimentResult:
     #: ``energy_attribution=True``.  Plain data — picklable.  Additive:
     #: None on plain runs.
     energy_attribution: Optional[EnergyAttribution] = None
-    trace: Optional[TraceRecorder] = None
     server: Optional[ServerNode] = None
 
     @property
@@ -193,19 +190,14 @@ class Cluster:
         )
         if self.profiler is not None:
             self.sim.set_profiler(self.profiler)
-        self.trace: TraceRecorder = (
-            TraceRecorder() if config.collect_traces else NullTraceRecorder()
-        )
         self.rng = RngRegistry(config.seed)
         # Sinks attach here (constructor argument, NOT a config field:
         # ExperimentConfig feeds the sweep cache hash, and attaching an
-        # observer must not invalidate cached results).  With no sinks and
-        # collect_traces=False every probe stays disabled — the hot path
-        # pays a single truthiness check.  ``audit`` and
-        # ``streaming_latency`` are observers too, for the same reason.
+        # observer must not invalidate cached results).  With no sinks
+        # every probe stays disabled — the hot path pays a single
+        # truthiness check.  ``audit`` and ``streaming_latency`` are
+        # observers too, for the same reason.
         self.telemetry = Telemetry()
-        if config.collect_traces:
-            self.telemetry.add_sink(ChannelSink(self.trace))
         self.auditor: Optional[InvariantAuditor] = (
             self.telemetry.add_sink(InvariantAuditor()) if audit else None
         )
@@ -220,7 +212,6 @@ class Cluster:
             config.policy,
             config.app,
             self.rng,
-            trace=self.trace,
             telemetry=self.telemetry,
             processor=config.processor,
             netstack=config.netstack,
@@ -254,34 +245,15 @@ class Cluster:
         )
         #: Flight recorder — an observer like sinks/audit, never a config
         #: field.  ``record_timeseries=`` builds the full standard-series
-        #: recorder (and exports a bundle on the result); with only
-        #: ``collect_traces`` a minimal recorder keeps the legacy
-        #: ``<node>.cpu.util`` channel alive at a 1 ms cadence.
+        #: recorder and exports a bundle on the result.
         self.recorder: Optional[TimeSeriesRecorder] = None
-        self._export_timeseries = False
         recorder_config = resolve_recorder_config(record_timeseries)
         if recorder_config is not None:
             self.recorder = build_server_recorder(
-                self.sim,
-                self.server,
-                recorder_config,
-                trace=self.trace if config.collect_traces else None,
+                self.sim, self.server, recorder_config
             )
             for watchpoint in watchpoints or ():
                 self.recorder.add_watchpoint(watchpoint)
-            self._export_timeseries = True
-        elif config.collect_traces:
-            interval_ns = 1 * MS
-            recorder = TimeSeriesRecorder(
-                self.sim, telemetry=self.telemetry, interval_ns=interval_ns
-            )
-            channel = self.trace.event_channel(f"{self.server.name}.cpu.util")
-            recorder.add_source(
-                "cpu.util",
-                utilization_source(self.server.package, interval_ns),
-                tap=channel.record,
-            )
-            self.recorder = recorder
 
         burst_size = (
             config.burst_size
@@ -416,13 +388,12 @@ class Cluster:
                 self.attribution.summary() if self.attribution is not None else None
             ),
             timeseries=(
-                self.recorder.bundle() if self._export_timeseries else None
+                self.recorder.bundle() if self.recorder is not None else None
             ),
             profile=(
                 self.profiler.profile() if self.profiler is not None else None
             ),
             energy_attribution=energy_attribution,
-            trace=self.trace if config.collect_traces else None,
             server=self.server if keep_server else None,
         )
 

@@ -10,7 +10,6 @@ from repro.cpu.package import ClockDomain
 from repro.cpu.power import PowerModel, PowerModelConfig
 from repro.cpu.pstates import DVFSTimingModel, PStateTable
 from repro.sim.kernel import Simulator
-from repro.sim.trace import TraceRecorder
 from repro.sim.units import ghz
 from repro.telemetry import Telemetry, ensure_telemetry
 
@@ -51,19 +50,17 @@ class ProcessorConfig:
     def build_package(
         self,
         sim: Simulator,
-        trace: Optional[TraceRecorder] = None,
         name: str = "cpu",
         telemetry: Optional[Telemetry] = None,
     ) -> ClockDomain:
         """A chip-wide package: one clock domain over all cores."""
-        (domain,) = self.build_domains(sim, trace=trace, name=name, telemetry=telemetry)
+        (domain,) = self.build_domains(sim, name=name, telemetry=telemetry)
         return domain
 
     def build_domains(
         self,
         sim: Simulator,
         per_core: bool = False,
-        trace: Optional[TraceRecorder] = None,
         name: str = "cpu",
         telemetry: Optional[Telemetry] = None,
     ) -> List[ClockDomain]:
@@ -71,7 +68,7 @@ class ProcessorConfig:
         ``name``, or (``per_core``) one single-core domain per core called
         ``<name>.domain<i>``.  All share one P/C-state table, power model
         and telemetry."""
-        telemetry = ensure_telemetry(telemetry, trace)
+        telemetry = ensure_telemetry(telemetry)
         pstates = self.pstate_table()
         cstates = self.cstate_table()
         power_model = PowerModel(self.power)

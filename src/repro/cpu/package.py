@@ -25,7 +25,6 @@ from repro.cpu.energy import EnergyReport, PowerMeter
 from repro.cpu.power import PowerModel
 from repro.cpu.pstates import DVFSTimingModel, PStateTable
 from repro.sim.kernel import Simulator
-from repro.sim.trace import TraceRecorder
 from repro.telemetry import PStateChange, Telemetry, ensure_telemetry
 
 
@@ -57,7 +56,6 @@ class ClockDomain(_CoreGroup):
         power_model: PowerModel,
         dvfs_timing: Optional[DVFSTimingModel] = None,
         initial_pstate: int = 0,
-        trace: Optional[TraceRecorder] = None,
         name: str = "cpu",
         core_id_base: int = 0,
         telemetry: Optional[Telemetry] = None,
@@ -71,7 +69,7 @@ class ClockDomain(_CoreGroup):
         self.power_model = power_model
         self.dvfs_timing = dvfs_timing or DVFSTimingModel()
         self._set_operating_point(pstates.clamp_index(initial_pstate))
-        self.telemetry = ensure_telemetry(telemetry, trace)
+        self.telemetry = ensure_telemetry(telemetry)
         self._pstate_probe = self.telemetry.probe("cpu.pstate")
         self._transitions = self.telemetry.counter("cpu.pstate.transitions")
         self._transition_target: Optional[int] = None

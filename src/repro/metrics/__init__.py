@@ -1,4 +1,4 @@
-"""Metrics: latency percentiles, energy windows, traces, text reports."""
+"""Metrics: latency percentiles, energy windows, time series, text reports."""
 
 from repro.metrics.energy import average_power_w, energy_delta
 from repro.metrics.latency import LatencyStats

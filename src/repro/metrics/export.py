@@ -1,10 +1,12 @@
-"""Trace and result export: dump recorded data for external tooling.
+"""Time-series and result export: dump recorded data for external tooling.
 
 The benchmark suite prints sparkline reports, but anyone regenerating the
 paper's figures in a plotting tool needs the raw series.  These helpers
-write event channels (step functions) and counter channels (binned rates)
-to plain CSV files, and round-trip harness :class:`ResultRecord` lists
-through JSON (``export_result_records`` / ``load_result_records``).
+write flight-recorder series (:class:`~repro.telemetry.recorder.SeriesData`
+from a run's :class:`~repro.telemetry.recorder.TimeseriesBundle`) to plain
+CSV files — gauges as samples, cumulative counters as per-bin increments —
+and round-trip harness :class:`ResultRecord` lists through JSON
+(``export_result_records`` / ``load_result_records``).
 """
 
 from __future__ import annotations
@@ -12,77 +14,58 @@ from __future__ import annotations
 import csv
 import json
 import os
-from typing import TYPE_CHECKING, Iterable, List, Sequence
+from itertools import count, takewhile
+from typing import TYPE_CHECKING, Iterable, List
 
-from repro.sim.trace import TraceRecorder
+from repro.metrics.timeseries import counter_bins
+from repro.telemetry.recorder import SeriesData, TimeseriesBundle
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.harness.record import ResultRecord
 
 
-def export_event_channel(
-    trace: TraceRecorder, channel: str, path: str
-) -> int:
-    """Write one event channel as ``time_ns,value`` rows; returns row count."""
-    ch = trace.event_channel(channel)
+def export_series(series: SeriesData, path: str) -> int:
+    """Write one recorded series as ``time_ns,value`` rows; returns row count."""
     _ensure_dir(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time_ns", "value"])
-        for t, v in zip(ch.times, ch.values):
-            writer.writerow([t, v])
-    return len(ch.times)
+        writer.writerows(series.points())
+    return len(series.times)
 
 
-def export_counter_channel(
-    trace: TraceRecorder,
-    channel: str,
-    path: str,
-    start_ns: int,
-    end_ns: int,
-    bin_ns: int,
+def export_counter_bins(
+    series: SeriesData, path: str, start_ns: int, end_ns: int
 ) -> int:
-    """Write a counter channel as per-bin ``bin_start_ns,amount`` rows."""
-    ch = trace.counter_channel(channel)
-    bins = ch.binned(start_ns, end_ns, bin_ns)
+    """Write a cumulative counter's per-interval increments over
+    ``[start, end)`` as ``bin_start_ns,amount`` rows; returns row count."""
+    bins = counter_bins(series, start_ns, end_ns)
     _ensure_dir(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_start_ns", "amount"])
-        for i, amount in enumerate(bins):
-            writer.writerow([start_ns + i * bin_ns, amount])
+        for bin_start, _, amount in bins:
+            writer.writerow([bin_start, amount])
     return len(bins)
 
 
 def export_figure4_bundle(
-    trace: TraceRecorder,
-    directory: str,
-    start_ns: int,
-    end_ns: int,
-    bin_ns: int,
-    node: str = "server",
-    core_ids: Sequence[int] = (0, 1, 2, 3),
+    bundle: TimeseriesBundle, directory: str, start_ns: int, end_ns: int
 ) -> List[str]:
-    """Export everything a Figure 4 plot needs; returns written paths."""
+    """Export everything a Figure 4 plot needs from a server's recorder
+    bundle: received/transmitted bytes binned over the measurement window,
+    then utilization, frequency and every core's C-state index over the
+    whole run.  Returns the written paths."""
     paths = []
-    for channel, kind in (
-        (f"{node}.rx_bytes", "counter"),
-        (f"{node}.tx_bytes", "counter"),
-        (f"{node}.cpu.util", "event"),
-        (f"{node}.cpu.freq_ghz", "event"),
-    ):
-        path = os.path.join(directory, channel.replace(".", "_") + ".csv")
-        if kind == "counter":
-            export_counter_channel(trace, channel, path, start_ns, end_ns, bin_ns)
-        else:
-            export_event_channel(trace, channel, path)
+    for name, stem in (("nic.rx.bytes", "rx_bytes"), ("nic.tx.bytes", "tx_bytes")):
+        path = os.path.join(directory, f"server_{stem}.csv")
+        export_counter_bins(bundle.get(name), path, start_ns, end_ns)
         paths.append(path)
-    for core_id in core_ids:
-        channel = f"{node}.core{core_id}.cstate"
-        if trace.has_channel(channel):
-            path = os.path.join(directory, channel.replace(".", "_") + ".csv")
-            export_event_channel(trace, channel, path)
-            paths.append(path)
+    cstates = takewhile(bundle.__contains__, (f"core{i}.cstate" for i in count()))
+    for name in ("cpu.util", "cpu.freq_ghz", *cstates):
+        path = os.path.join(directory, "server_" + name.replace(".", "_") + ".csv")
+        export_series(bundle.get(name), path)
+        paths.append(path)
     return paths
 
 

@@ -98,9 +98,3 @@ class Scheduler:
     @property
     def queue_depth(self) -> int:
         return len(self._queue)
-
-    def wake_all(self) -> None:
-        """Wake every sleeping core (used by NCAP's IT_HIGH path)."""
-        for core in self.cores:
-            if core.state is _SLEEP:
-                core.wake()

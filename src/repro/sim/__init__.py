@@ -1,13 +1,7 @@
-"""Discrete-event simulation substrate: kernel, units, RNG, tracing."""
+"""Discrete-event simulation substrate: kernel, units, RNG."""
 
 from repro.sim.kernel import Event, SimulationError, Simulator
 from repro.sim.rng import RngRegistry, derive_seed
-from repro.sim.trace import (
-    CounterChannel,
-    EventChannel,
-    NullTraceRecorder,
-    TraceRecorder,
-)
 from repro.sim import units
 
 __all__ = [
@@ -16,9 +10,5 @@ __all__ = [
     "Simulator",
     "RngRegistry",
     "derive_seed",
-    "CounterChannel",
-    "EventChannel",
-    "NullTraceRecorder",
-    "TraceRecorder",
     "units",
 ]

@@ -8,14 +8,16 @@ from repro.cluster.node import ServerNode
 from repro.cpu import Job
 from repro.metrics.energy import energy_delta
 from repro.oskernel.cpufreq import OndemandGovernor, PerformanceGovernor
-from repro.sim import RngRegistry, Simulator, TraceRecorder
+from repro.sim import RngRegistry, Simulator
 from repro.sim.units import MS
+from repro.telemetry import Telemetry
+from tests.telemetry.probe_oracle import ProbeOracle
 
 
-def make_node(policy="perf", app="apache", trace=None):
+def make_node(policy="perf", app="apache", telemetry=None):
     sim = Simulator()
     node = ServerNode(
-        sim, "server", policy, app, RngRegistry(1), trace=trace
+        sim, "server", policy, app, RngRegistry(1), telemetry=telemetry
     )
     return sim, node
 
@@ -66,10 +68,18 @@ class TestWiring:
         assert node.sysfs.exists("/sys/class/net/server/ncap/templates")
 
     def test_trace_wires_cstate_channels(self):
-        trace = TraceRecorder()
-        sim, node = make_node("ond.idle", trace=trace)
-        assert trace.has_channel("server.core0.cstate")
-        assert trace.has_channel("server.cpu.freq_ghz")
+        # A sink on the shared telemetry sees the package's initial
+        # operating point and every core's C-state transitions.
+        oracle = ProbeOracle()
+        telemetry = Telemetry()
+        telemetry.add_sink(oracle)
+        sim, node = make_node("ond.idle", telemetry=telemetry)
+        assert oracle.freq_ghz["server.cpu"].values == [pytest.approx(3.1)]
+        node.start()
+        sim.schedule_at(MS, lambda: node.scheduler.enqueue(
+            Job(node.package.max_frequency_hz * 1e-4)))
+        sim.run(until=2 * MS)
+        assert oracle.cstate[0].values[0] > 0  # slept after the job
 
     def test_start_pins_performance_at_p0(self):
         sim, node = make_node("perf")

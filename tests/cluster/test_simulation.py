@@ -90,11 +90,11 @@ class TestRun:
 
     def test_traces_only_when_requested(self):
         plain = run_experiment(quick_config())
-        traced = run_experiment(quick_config(collect_traces=True))
-        assert plain.trace is None
-        assert traced.trace is not None
-        assert traced.trace.counter_channel("server.rx_bytes").total > 0
-        assert len(traced.trace.event_channel("server.cpu.util")) > 0
+        traced = run_experiment(quick_config(), record_timeseries="coarse")
+        assert plain.timeseries is None
+        assert traced.timeseries is not None
+        assert traced.timeseries.get("nic.rx.bytes").values[-1] > 0
+        assert len(traced.timeseries.get("cpu.util").times) > 0
 
     def test_determinism_same_seed(self):
         a = run_experiment(quick_config(policy="ncap.cons", seed=11))

@@ -3,14 +3,16 @@
 import pytest
 
 from repro.cpu import CoreState, Job, ProcessorConfig
-from repro.sim import Simulator, TraceRecorder
+from repro.sim import Simulator
 from repro.sim.units import US, ghz
+from repro.telemetry import Telemetry
+from tests.telemetry.probe_oracle import ProbeOracle
 
 
-def make_package(n_cores=2, initial_pstate=0, trace=None):
+def make_package(n_cores=2, initial_pstate=0, telemetry=None):
     sim = Simulator()
     config = ProcessorConfig(n_cores=n_cores, initial_pstate=initial_pstate)
-    return sim, config.build_package(sim, trace=trace)
+    return sim, config.build_package(sim, telemetry=telemetry)
 
 
 class TestTransitions:
@@ -132,13 +134,15 @@ class TestHelpers:
         assert package.pstate_index > 0
 
     def test_trace_records_frequency_changes(self):
-        trace = TraceRecorder()
-        sim, package = make_package(trace=trace)
+        oracle = ProbeOracle()
+        telemetry = Telemetry()
+        telemetry.add_sink(oracle)
+        sim, package = make_package(telemetry=telemetry)
         package.set_pstate(14)
         sim.run()
-        channel = trace.event_channel("cpu.freq_ghz")
-        assert channel.values[0] == pytest.approx(3.1)
-        assert channel.values[-1] == pytest.approx(0.8)
+        values = oracle.freq_ghz["cpu"].values
+        assert values[0] == pytest.approx(3.1)
+        assert values[-1] == pytest.approx(0.8)
 
     def test_energy_report_aggregates_cores(self):
         sim, package = make_package(n_cores=4)

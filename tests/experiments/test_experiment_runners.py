@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.apps.workload import load_level
+from repro.cluster.simulation import ExperimentConfig, run_experiment
 from repro.experiments import (
     RunSettings,
     ablations,
@@ -13,6 +15,7 @@ from repro.experiments import (
     policy_comparison,
 )
 from repro.sim.units import MS
+from tests.telemetry.probe_oracle import ProbeOracle
 
 TINY = RunSettings(warmup_ns=5 * MS, measure_ns=40 * MS, drain_ns=30 * MS, seed=2)
 
@@ -101,6 +104,32 @@ class TestPolicyComparison:
         assert result.snapshots[0].policy == "ncap.cons"
         report = policy_comparison.format_report(result)
         assert "ncap.cons" in report
+
+    def test_snapshot_matches_event_exact_oracle(self):
+        # The Fig 8/9 BW(Rx)-vs-F panel: each 1 ms BW(Rx) bin carries the
+        # bytes that arrived in it and each F sample the frequency in
+        # force, as the event-exact oracle sees them in a run of the same
+        # config (with no recorder: the recorder must not move anything).
+        snap = policy_comparison._snapshot(
+            "apache", "ncap.cons", "low", TINY, TINY.measure_ns // MS
+        )
+        config = ExperimentConfig.from_settings(
+            TINY, app="apache", policy="ncap.cons",
+            target_rps=load_level("apache", "low").target_rps,
+        )
+        oracle = ProbeOracle()
+        run_experiment(config, sinks=[oracle])
+        start, end = config.warmup_ns, config.warmup_ns + config.measure_ns
+
+        bins = list(range(start, end, MS))
+        mbps = [oracle.rx.between(t, t + MS) * 1e9 / MS * 8 / 1e6 for t in bins]
+        assert snap.bw_rx == [(t, v / max(mbps)) for t, v in zip(bins, mbps)]
+
+        grid = list(range(start, end + 1, MS))
+        freq = oracle.freq_ghz["server.cpu"]
+        assert snap.frequency_ghz == [(t, freq.value_at(t)) for t in grid]
+        assert len({v for _, v in snap.frequency_ghz}) > 1  # F moved
+        assert snap.wake_interrupts_ns
 
     def test_requires_perf_first(self):
         with pytest.raises(AssertionError):

@@ -34,13 +34,13 @@ from repro.sim.units import MS
 
 GOLDEN = {
     "apache/ncap.cons/low":
-        "8dbf8ef0108bac94e69f35d5b33144f621a2ff6062383591605f814db665b962",
+        "93e584b4c2cf847aea029fb84c579455233e1346538a21a97c7b65b16ef177dd",
     "memcached/ond.idle/medium":
-        "2862a9de9a89a2a5dc9e1fc9c6bd5192e4a0428f376550c7234a746a2ab1cbc3",
+        "d2544347ad33026de089163a6fd27450ecbcfc5602be54df7e54c7ddb383deef",
     "observed/apache/ncap.cons/low":
-        "834ec5d243ccdcd0c38b2bcbb51203248dee94910d9015f7d69f14f10cc37069",
+        "a20c2168950086a948e5ec9ecce203342cecff818a50524bee01c5502528d125",
     "observed/memcached/ond.idle/low":
-        "64348087bb1460e6b18ae88517af60dcae95e8eb50dce8224499a75e47f391b6",
+        "0f3a4336cda63b120ca558742981212795a6e8717e3d859e73aa78ce247f70d7",
     "frontend/4x2":
         "d6c2d66d9c4a2faef0d1838487ddc8faaa2972dbf5fd758ec16f2b9450c8ed0c",
     "classic/memcached/4x2":

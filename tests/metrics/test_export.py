@@ -1,25 +1,22 @@
-"""Tests for CSV trace export."""
+"""Tests for CSV time-series export."""
 
 import csv
 import os
 
 from repro.metrics.export import (
-    export_counter_channel,
-    export_event_channel,
+    export_counter_bins,
     export_figure4_bundle,
+    export_series,
 )
-from repro.sim import TraceRecorder
 from repro.sim.units import MS
+from repro.telemetry.recorder import SeriesData
 
 
-class TestEventExport:
+class TestSeriesExport:
     def test_roundtrip(self, tmp_path):
-        trace = TraceRecorder()
-        ch = trace.event_channel("cpu.freq_ghz")
-        ch.record(0, 3.1)
-        ch.record(5 * MS, 0.8)
+        series = SeriesData("cpu.freq_ghz", "gauge", 1, [0, 5 * MS], [3.1, 0.8])
         path = os.path.join(tmp_path, "freq.csv")
-        rows = export_event_channel(trace, "cpu.freq_ghz", path)
+        rows = export_series(series, path)
         assert rows == 2
         with open(path) as fh:
             data = list(csv.reader(fh))
@@ -27,27 +24,28 @@ class TestEventExport:
         assert data[1] == ["0", "3.1"]
         assert data[2] == [str(5 * MS), "0.8"]
 
-    def test_empty_channel(self, tmp_path):
-        trace = TraceRecorder()
+    def test_empty_series(self, tmp_path):
         path = os.path.join(tmp_path, "empty.csv")
-        assert export_event_channel(trace, "nothing", path) == 0
+        assert export_series(SeriesData("nothing", "gauge", 1), path) == 0
         with open(path) as fh:
             assert len(list(csv.reader(fh))) == 1  # header only
 
 
 class TestCounterExport:
     def test_binned_rows(self, tmp_path):
-        trace = TraceRecorder()
-        ch = trace.counter_channel("rx")
-        ch.add(100, 1000.0)
-        ch.add(MS + 5, 500.0)
+        # Cumulative samples at 0, 1, 2, 3 ms; bins start in [0, 2 ms).
+        series = SeriesData(
+            "rx", "counter", 1, [0, MS, 2 * MS, 3 * MS],
+            [0.0, 1000.0, 1500.0, 1600.0],
+        )
         path = os.path.join(tmp_path, "rx.csv")
-        rows = export_counter_channel(trace, "rx", path, 0, 2 * MS, MS)
+        rows = export_counter_bins(series, path, 0, 2 * MS)
         assert rows == 2
         with open(path) as fh:
             data = list(csv.reader(fh))
-        assert float(data[1][1]) == 1000.0
-        assert float(data[2][1]) == 500.0
+        assert data[0] == ["bin_start_ns", "amount"]
+        assert data[1] == ["0", "1000.0"]
+        assert data[2] == [str(MS), "500.0"]
 
 
 class TestBundle:
@@ -57,18 +55,26 @@ class TestBundle:
         result = run_experiment(
             ExperimentConfig(
                 app="apache", policy="ond.idle", target_rps=24_000,
-                collect_traces=True,
                 warmup_ns=5 * MS, measure_ns=30 * MS, drain_ns=20 * MS,
-            )
+            ),
+            record_timeseries="coarse",
         )
         paths = export_figure4_bundle(
-            result.trace, str(tmp_path), 5 * MS, 35 * MS, MS
+            result.timeseries, str(tmp_path), 5 * MS, 35 * MS
         )
-        assert len(paths) >= 4 + 4  # 4 series + 4 core channels
+        names = [os.path.basename(p) for p in paths]
+        assert names == [
+            "server_rx_bytes.csv", "server_tx_bytes.csv",
+            "server_cpu_util.csv", "server_cpu_freq_ghz.csv",
+            "server_core0_cstate.csv", "server_core1_cstate.csv",
+            "server_core2_cstate.csv", "server_core3_cstate.csv",
+        ]
         for path in paths:
             assert os.path.exists(path)
-        # The rx series carries real traffic.
-        rx_path = next(p for p in paths if "rx_bytes" in p)
+        # The rx series carries real traffic: one 1 ms bin per row over
+        # the 30 ms window.
+        rx_path = paths[0]
         with open(rx_path) as fh:
-            total = sum(float(row[1]) for row in list(csv.reader(fh))[1:])
-        assert total > 0
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 30
+        assert sum(float(row[1]) for row in rows) > 0

@@ -5,31 +5,29 @@ import pytest
 from repro.cluster.recording import utilization_source
 from repro.cpu import Job, ProcessorConfig
 from repro.metrics import bandwidth_series_mbps, normalized_series
-from repro.sim import Simulator, TraceRecorder
+from repro.metrics.timeseries import window_points
+from repro.sim import Simulator
 from repro.sim.units import MS
-from repro.telemetry.recorder import TimeSeriesRecorder
+from repro.telemetry.recorder import SeriesData, TimeSeriesRecorder
 
 
-def _sampler(sim, package, trace, bin_ns=MS, channel="cpu.util"):
-    """The utilization sampling ``collect_traces`` runs: a recorder whose
-    utilization source taps every raw sample into a trace channel."""
+def _sampler(sim, package, bin_ns=MS):
+    """A recorder sampling the server recorder's utilization source."""
     recorder = TimeSeriesRecorder(sim, interval_ns=bin_ns)
-    recorder.add_source(
-        "cpu.util",
-        utilization_source(package, bin_ns),
-        tap=trace.event_channel(channel).record,
-    )
+    recorder.add_source("cpu.util", utilization_source(package, bin_ns))
     return recorder
 
 
 class _ReferenceSampler:
-    """The original (pre-recorder) utilization sampler, verbatim, as the
-    parity oracle for the recorder's utilization source."""
+    """The original (pre-recorder) utilization sampler, verbatim but for
+    its output lists, as the parity oracle for the recorder's
+    utilization source."""
 
-    def __init__(self, sim, package, trace, bin_ns=1 * MS, channel="cpu.util"):
+    def __init__(self, sim, package, bin_ns=1 * MS):
         self._sim = sim
         self._package = package
-        self._channel = trace.event_channel(channel)
+        self.times = []
+        self.values = []
         self.bin_ns = bin_ns
         self._last_busy = package.busy_ns_per_core()
         self._running = False
@@ -48,7 +46,8 @@ class _ReferenceSampler:
         deltas = [b - last for b, last in zip(busy, self._last_busy)]
         self._last_busy = busy
         mean_util = sum(deltas) / (len(deltas) * self.bin_ns)
-        self._channel.record(self._sim.now, min(1.0, mean_util))
+        self.times.append(self._sim.now)
+        self.values.append(min(1.0, mean_util))
         self._sim.schedule(self.bin_ns, self._sample)
 
 
@@ -56,13 +55,12 @@ class TestUtilizationSampler:
     def test_samples_busy_fraction(self):
         sim = Simulator()
         package = ProcessorConfig(n_cores=2).build_package(sim)
-        trace = TraceRecorder()
-        sampler = _sampler(sim, package, trace, bin_ns=MS)
+        sampler = _sampler(sim, package, bin_ns=MS)
         sampler.start()
         # Core 0 busy for exactly half of the first bin.
         package.cores[0].dispatch(Job(3.1e9 * 500e-6))
         sim.run(until=2 * MS)
-        channel = trace.event_channel("cpu.util")
+        channel = sampler.buffer("cpu.util")
         # Mean across 2 cores: core0 50%, core1 0% -> 25%.
         assert channel.values[0] == pytest.approx(0.25, abs=0.01)
         assert channel.values[1] == pytest.approx(0.0, abs=0.01)
@@ -70,22 +68,20 @@ class TestUtilizationSampler:
     def test_stop(self):
         sim = Simulator()
         package = ProcessorConfig(n_cores=1).build_package(sim)
-        trace = TraceRecorder()
-        sampler = _sampler(sim, package, trace, bin_ns=MS)
+        sampler = _sampler(sim, package, bin_ns=MS)
         sampler.start()
         sim.schedule_at(int(2.5 * MS), sampler.stop)
         sim.run(until=10 * MS)
-        assert len(trace.event_channel("cpu.util")) == 2
+        assert len(sampler.buffer("cpu.util")) == 2
 
     def test_start_idempotent(self):
         sim = Simulator()
         package = ProcessorConfig(n_cores=1).build_package(sim)
-        trace = TraceRecorder()
-        sampler = _sampler(sim, package, trace, bin_ns=MS)
+        sampler = _sampler(sim, package, bin_ns=MS)
         sampler.start()
         sampler.start()
         sim.run(until=MS)
-        assert len(trace.event_channel("cpu.util")) == 1
+        assert len(sampler.buffer("cpu.util")) == 1
 
     def test_restart_after_stop_does_not_double_schedule(self):
         # Regression: the original sampler left its queued callback alive
@@ -93,25 +89,23 @@ class TestUtilizationSampler:
         # stacked a second sampling chain and produced duplicate bins.
         sim = Simulator()
         package = ProcessorConfig(n_cores=1).build_package(sim)
-        trace = TraceRecorder()
-        sampler = _sampler(sim, package, trace, bin_ns=MS)
+        sampler = _sampler(sim, package, bin_ns=MS)
         sampler.start()
         sim.run(until=int(1.5 * MS))
         sampler.stop()
         sampler.start()  # first chain's next tick (t=2ms) still queued
         sim.run(until=5 * MS)
-        times = list(trace.event_channel("cpu.util").times)
+        times = list(sampler.buffer("cpu.util").times)
         assert times == sorted(set(times)), "duplicate bins: two chains"
         assert times == [MS, int(2.5 * MS), int(3.5 * MS), int(4.5 * MS)]
 
     def test_parity_with_original_implementation(self):
-        # The recorder (channel A) and the verbatim original math
-        # (channel B) driven by the same simulation must bin identically.
+        # The recorder (a) and the verbatim original math (b) driven by
+        # the same simulation must bin identically.
         sim = Simulator()
         package = ProcessorConfig(n_cores=2).build_package(sim)
-        trace = TraceRecorder()
-        recorder = _sampler(sim, package, trace, bin_ns=MS, channel="a.util")
-        reference = _ReferenceSampler(sim, package, trace, bin_ns=MS, channel="b.util")
+        recorder = _sampler(sim, package, bin_ns=MS)
+        reference = _ReferenceSampler(sim, package, bin_ns=MS)
         recorder.start()
         reference.start()
         # Staggered work so bins land at varied fractions.
@@ -124,19 +118,27 @@ class TestUtilizationSampler:
                     ),
                 )
         sim.run(until=6 * MS)
-        a = trace.event_channel("a.util")
-        b = trace.event_channel("b.util")
-        assert list(a.times) == list(b.times)
-        assert list(a.values) == list(b.values)  # bit-identical bins
+        a = recorder.buffer("cpu.util")
+        assert a.times == reference.times
+        assert a.values == reference.values  # bit-identical bins
 
 
 class TestBandwidthSeries:
     def test_bytes_to_mbps(self):
-        trace = TraceRecorder()
-        counter = trace.counter_channel("rx")
-        counter.add(100, 125_000.0)  # 125 KB in a 1 ms bin = 1 Gb/s
-        series = bandwidth_series_mbps(trace, "rx", 0, MS, MS)
+        # 125 KB in a 1 ms bin = 1 Gb/s; bins are labelled by their start
+        # and only bins starting in [start, end) count.
+        counter = SeriesData(
+            "rx", "counter", 1, [0, MS, 2 * MS], [0.0, 125_000.0, 150_000.0]
+        )
+        series = bandwidth_series_mbps(counter, 0, MS)
         assert series == [(0, pytest.approx(1000.0))]
+
+
+class TestWindowPoints:
+    def test_bounds_inclusive(self):
+        series = SeriesData("f", "gauge", 1, [0, MS, 2 * MS, 3 * MS],
+                            [3.1, 2.0, 1.0, 0.8])
+        assert window_points(series, MS, 2 * MS) == [(MS, 2.0), (2 * MS, 1.0)]
 
 
 class TestNormalizedSeries:

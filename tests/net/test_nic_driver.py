@@ -3,8 +3,10 @@
 from repro.cpu import CoreState, ProcessorConfig
 from repro.net import ICR, Frame, ModerationConfig, NIC, NICDriver
 from repro.oskernel import IRQController, NetStackCosts
-from repro.sim import Simulator, TraceRecorder
+from repro.sim import Simulator
 from repro.sim.units import US
+from repro.telemetry import Telemetry
+from tests.telemetry.probe_oracle import ProbeOracle
 
 
 class WireStub:
@@ -23,7 +25,7 @@ class WireStub:
         return 0
 
 
-def make_node(moderation=None, dma_latency=10 * US, trace=None):
+def make_node(moderation=None, dma_latency=10 * US, telemetry=None):
     sim = Simulator()
     package = ProcessorConfig(n_cores=2).build_package(sim)
     irq = IRQController(sim, package)
@@ -31,7 +33,7 @@ def make_node(moderation=None, dma_latency=10 * US, trace=None):
         sim,
         dma_latency_ns=dma_latency,
         moderation=moderation or ModerationConfig(),
-        trace=trace,
+        telemetry=telemetry,
     )
     wire = WireStub()
     nic.attach_port(wire)  # type: ignore[arg-type]
@@ -160,14 +162,18 @@ class TestTxPath:
 
 class TestTrace:
     def test_rx_tx_byte_channels_recorded(self):
-        trace = TraceRecorder()
-        sim, package, nic, driver, wire = make_node(trace=trace)
+        oracle = ProbeOracle()
+        telemetry = Telemetry()
+        telemetry.add_sink(oracle)
+        sim, package, nic, driver, wire = make_node(telemetry=telemetry)
         driver.packet_sink = lambda f: None
-        nic.receive_frame(request())
-        driver.transmit(Frame("server", "client", payload_bytes=5000))
+        rx = request()
+        tx = Frame("server", "client", payload_bytes=5000)
+        nic.receive_frame(rx)
+        driver.transmit(tx)
         sim.run()
-        assert trace.counter_channel("eth0.rx_bytes").total > 0
-        assert trace.counter_channel("eth0.tx_bytes").total > 0
+        assert oracle.rx.total == rx.wire_bytes == nic.rx_bytes
+        assert oracle.tx.total == tx.wire_bytes == nic.tx_bytes
 
 
 class TestNCAPPostPath:

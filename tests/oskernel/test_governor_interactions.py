@@ -52,7 +52,7 @@ class TestOndemandVsBoost:
 class TestMenuVsDisable:
     def test_disable_mid_sleep_leaves_core_asleep(self):
         # NCAP's IT_HIGH disables the menu governor; cores already in a
-        # C-state stay there until work (or wake_all) arrives.
+        # C-state stay there until work (or an IT_HIGH wake) arrives.
         sim, package, scheduler, cpufreq, irq = make()
         driver = CpuidleDriver(MenuGovernor(package.cstates))
         scheduler.idle_hook = driver.on_core_idle

@@ -134,14 +134,6 @@ class TestStats:
         assert sched.jobs_enqueued == 5
         sim.run()
 
-    def test_wake_all(self):
-        sim, package, sched = make(n_cores=2)
-        for core in package.cores:
-            core.enter_sleep(package.cstates.by_name("C6"))
-        sched.wake_all()
-        sim.run()
-        assert all(core.state is CoreState.IDLE for core in package.cores)
-
 
 class TestTakeNext:
     def test_completion_chains_queued_job_without_idle_bounce(self):

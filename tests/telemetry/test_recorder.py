@@ -14,6 +14,7 @@ from repro.telemetry import (
     resolve_recorder_config,
 )
 from repro.telemetry.recorder import SeriesBuffer
+from tests.telemetry.probe_oracle import ProbeOracle
 
 
 class TestSeriesBuffer:
@@ -43,7 +44,12 @@ class TestRecorderLifecycle:
     def _recorder(self, sim, interval_ns=MS):
         recorder = TimeSeriesRecorder(sim, interval_ns=interval_ns)
         ticks = []
-        recorder.add_source("t", lambda: float(len(ticks)), tap=lambda t, v: ticks.append(t))
+
+        def source():  # runs once per tick: log when
+            ticks.append(sim.now)
+            return float(len(ticks))
+
+        recorder.add_source("t", source)
         return recorder, ticks
 
     def test_start_idempotent(self):
@@ -160,9 +166,17 @@ class TestDeterminism:
 
 class TestClusterWiring:
     @pytest.fixture(scope="class")
-    def result(self):
-        config = ExperimentConfig(seed=4, collect_traces=True, **TINY)
-        return run_experiment(config, record_timeseries="coarse")
+    def run(self):
+        oracle = ProbeOracle()
+        config = ExperimentConfig(seed=4, **TINY)
+        result = run_experiment(
+            config, record_timeseries="coarse", sinks=[oracle]
+        )
+        return result, oracle
+
+    @pytest.fixture(scope="class")
+    def result(self, run):
+        return run[0]
 
     def test_standard_series_present(self, result):
         names = result.timeseries.names()
@@ -172,19 +186,28 @@ class TestClusterWiring:
             assert expected in names
         assert any(n.startswith("core") and n.endswith(".cstate") for n in names)
 
-    def test_legacy_util_channel_parity(self, result):
-        # The tap must keep the legacy channel bit-identical with the
-        # recorded series (and with the retired UtilizationSampler).
-        channel = result.trace.event_channel("server.cpu.util")
-        series = result.timeseries.get("cpu.util")
-        assert list(channel.times) == series.times
-        assert list(channel.values) == series.values
-
-    def test_freq_matches_trace_channel_bin_for_bin(self, result):
-        channel = result.trace.event_channel("server.cpu.freq_ghz")
+    def test_freq_matches_trace_channel_bin_for_bin(self, run):
+        # Each sample equals the frequency in force at its time, as the
+        # event-exact oracle saw every P-state transition.
+        result, oracle = run
+        transitions = oracle.freq_ghz["server.cpu"]
         series = result.timeseries.get("cpu.freq_ghz")
+        assert len(series.times) >= 40
         for t, v in zip(series.times, series.values):
-            assert channel.value_at(t, default=3.1) == v
+            assert transitions.value_at(t) == v
+
+    def test_cstate_matches_oracle_bin_for_bin(self, run):
+        # Each core's sampled C-state index is the one in force at the
+        # sample time (0 = awake, including before its first sleep).
+        result, oracle = run
+        slept = 0
+        for core_id in range(4):
+            series = result.timeseries.get(f"core{core_id}.cstate")
+            transitions = oracle.cstate[core_id]
+            for t, v in zip(series.times, series.values):
+                assert transitions.value_at(t, default=0) == v
+            slept += sum(1 for v in series.values if v > 0)
+        assert slept > 0
 
     def test_counters_cumulative(self, result):
         rx = result.timeseries.get("nic.rx.bytes")
